@@ -13,8 +13,8 @@
 
 #include "core/expression_maintenance.h"
 #include "hypergraph/gamma_cycle.h"
-#include "core/key_equivalent_maintainer.h"
 #include "core/representative_index.h"
+#include "core/sharded_maintainer.h"
 #include "fd/closure_engine.h"
 #include "relation/weak_instance.h"
 #include "workload/generators.h"
@@ -59,9 +59,10 @@ void BM_Alg2_IndexedLookups(benchmark::State& bench) {
   opt.entities = static_cast<size_t>(bench.range(0));
   opt.seed = 3;
   DatabaseState state = MakeConsistentState(scheme, opt);
-  auto m = KeyEquivalentMaintainer::Create(std::move(state));
+  auto stream = MakeInsertStream(scheme, state, 128, 0.3, 5);
+  // One split block: the maintainer runs Algorithm 2 on its index.
+  auto m = ShardedMaintainer::Create(std::move(state));
   IRD_CHECK(m.ok());
-  auto stream = MakeInsertStream(scheme, m->state(), 128, 0.3, 5);
   size_t i = 0;
   for (auto _ : bench) {
     const InsertInstance& ins = stream[i++ % stream.size()];

@@ -26,10 +26,10 @@
 #include <string>
 #include <vector>
 
-#include "core/block_maintainer.h"
 #include "core/classify.h"
+#include "core/sharded_maintainer.h"
+#include "core/total_projection.h"
 #include "diagnostics/render.h"
-#include "core/query_engine.h"
 #include "io/text_format.h"
 #include "relation/weak_instance.h"
 
@@ -79,13 +79,14 @@ class Shell {
       }
     } else if (cmd == "check") {
       if (Ready()) {
-        std::printf("%s\n", IsConsistent(maintainer_->state())
+        std::printf("%s\n", IsConsistent(maintainer_->Materialize())
                                 ? "consistent"
                                 : "INCONSISTENT");
       }
     } else if (cmd == "dump") {
       if (Ready()) {
-        std::printf("%s", FormatState(maintainer_->state(), db_.values).c_str());
+        std::printf("%s",
+                    FormatState(maintainer_->Materialize(), db_.values).c_str());
       }
     } else {
       std::printf("unknown command '%s' (try 'help')\n", cmd.c_str());
@@ -109,7 +110,8 @@ class Shell {
     std::printf("ok: %zu relation(s)\n", db_.scheme.size());
   }
 
-  // Lazily freezes the schema into maintainer + query engine.
+  // Lazily freezes the schema into the maintainer, which also answers
+  // queries through its plan cache (recognition runs once, inside Create).
   bool Ready() {
     if (maintainer_.has_value()) return true;
     if (db_.scheme.size() == 0) {
@@ -121,15 +123,12 @@ class Shell {
       std::printf("error: %s\n", valid.ToString().c_str());
       return false;
     }
-    auto m = IndependenceReducibleMaintainer::Create(DatabaseState(db_.scheme));
+    auto m = ShardedMaintainer::Create(DatabaseState(db_.scheme));
     if (!m.ok()) {
       std::printf("error: %s\n", m.status().ToString().c_str());
       return false;
     }
     maintainer_.emplace(std::move(m).value());
-    auto engine = QueryEngine::Create(db_.scheme);
-    IRD_CHECK(engine.ok());  // acceptance already established
-    engine_.emplace(std::move(engine).value());
     std::printf("schema frozen: independence-reducible, %s\n",
                 maintainer_->IsCtm() ? "ctm" : "not ctm (split block)");
     return true;
@@ -188,7 +187,7 @@ class Shell {
     if (!Ready()) return;
     std::optional<AttributeSet> x = ParseAttrs(words);
     if (!x.has_value()) return;
-    PartialRelation answer = engine_->TotalProjection(maintainer_->state(), *x);
+    PartialRelation answer = maintainer_->TotalProjection(*x);
     for (const PartialTuple& t : answer.tuples()) {
       std::string row;
       t.attrs().ForEach([&](AttributeId a) {
@@ -205,7 +204,10 @@ class Shell {
     if (!Ready()) return;
     std::optional<AttributeSet> x = ParseAttrs(words);
     if (!x.has_value()) return;
-    ExprPtr plan = engine_->PlanFor(*x);
+    // The Theorem 4.1 expression for X, compiled as the maintainer's plan
+    // cache compiles it.
+    ExprPtr plan = BuildBoundedProjectionExpr(
+        db_.scheme, maintainer_->sharded_state().recognition(), *x);
     if (plan == nullptr) {
       std::puts("no covering expression: the projection is always empty");
     } else {
@@ -215,8 +217,7 @@ class Shell {
 
   std::string schema_text_;
   ParsedDatabase db_;
-  std::optional<IndependenceReducibleMaintainer> maintainer_;
-  std::optional<QueryEngine> engine_;
+  std::optional<ShardedMaintainer> maintainer_;
 };
 
 }  // namespace

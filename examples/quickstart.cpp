@@ -2,18 +2,17 @@
 //
 //   1. Declare the scheme (relations + candidate keys).
 //   2. Recognize it: independence-reducible? ctm? (Algorithm 6 + split test)
-//   3. Maintain it: validated inserts in constant time (Algorithm 5 via the
-//      block maintainer).
+//   3. Maintain it: validated inserts in constant time (Algorithm 5 in
+//      each split-free block of the sharded maintainer).
 //   4. Query it: total projections through the bounded expressions of
-//      Theorem 4.1.
+//      Theorem 4.1, from the maintainer's plan cache.
 
 #include <algorithm>
 #include <cstdio>
 
-#include "core/block_maintainer.h"
 #include "core/classify.h"
+#include "core/sharded_maintainer.h"
 #include "diagnostics/render.h"
-#include "core/total_projection.h"
 #include "schema/database_scheme.h"
 
 using namespace ird;
@@ -57,8 +56,7 @@ int main() {
               diagnostics::FormatSchemeReport(scheme).c_str());
 
   // --- 3. Constant-time maintenance.
-  auto maintainer =
-      IndependenceReducibleMaintainer::Create(DatabaseState(scheme));
+  auto maintainer = ShardedMaintainer::Create(DatabaseState(scheme));
   IRD_CHECK(maintainer.ok());
   std::printf("=== Maintenance ===\n");
   constexpr Value h9 = 9, room101 = 101, algebra = 500, drcodd = 700,
@@ -78,7 +76,7 @@ int main() {
       {"R2", "HTR", {h9, drfagin, room101}},
   };
   for (const Insert& ins : inserts) {
-    size_t rel = maintainer->state().scheme().FindRelation(ins.rel).value();
+    size_t rel = scheme.FindRelation(ins.rel).value();
     PartialTuple tuple = MakeTuple(scheme, ins.attrs, ins.values);
     Status status = maintainer->Insert(rel, tuple);
     std::printf("  insert %s %-28s -> %s\n", ins.rel,
@@ -89,11 +87,9 @@ int main() {
   // --- 4. Query answering: "which students attend which courses at which
   //        hours?" = the {H, S, C}-total projection.
   AttributeSet hsc = scheme.universe_ptr()->Chars("HSC");
-  Result<PartialRelation> answer =
-      TotalProjection(maintainer->state(), hsc);
-  IRD_CHECK(answer.ok());
+  PartialRelation answer = maintainer->TotalProjection(hsc);
   std::printf("\n=== Query [HSC] ===\n");
-  for (const PartialTuple& t : answer->tuples()) {
+  for (const PartialTuple& t : answer.tuples()) {
     std::printf("  %s\n", t.ToString(scheme.universe()).c_str());
   }
   std::printf(

@@ -7,8 +7,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/block_maintainer.h"
-#include "core/total_projection.h"
+#include "core/sharded_maintainer.h"
 #include "io/text_format.h"
 
 using namespace ird;
@@ -57,8 +56,7 @@ int main() {
   ParsedDatabase& db = parsed.value();
   std::printf("Loaded scheme:\n%s\n", FormatScheme(db.scheme).c_str());
 
-  auto maintainer =
-      IndependenceReducibleMaintainer::Create(db.MakeState());
+  auto maintainer = ShardedMaintainer::Create(db.MakeState());
   IRD_CHECK_MSG(maintainer.ok(), maintainer.status().message().c_str());
   std::printf("Scheme is independence-reducible; ctm: %s\n\n",
               maintainer->IsCtm() ? "yes" : "no");
@@ -112,10 +110,9 @@ int main() {
     for (char c : letters) {
       x.Add(db.scheme.universe().Find(std::string_view(&c, 1)).value());
     }
-    Result<PartialRelation> answer = TotalProjection(maintainer->state(), x);
-    IRD_CHECK(answer.ok());
+    PartialRelation answer = maintainer->TotalProjection(x);
     std::printf("\n[%s] %s:\n", std::string(letters).c_str(), title);
-    for (const PartialTuple& t : answer->tuples()) {
+    for (const PartialTuple& t : answer.tuples()) {
       std::printf("  %s\n", Render(db, t).c_str());
     }
   };

@@ -2,10 +2,7 @@
 
 #include <utility>
 
-#include "core/key_equivalence.h"
-#include "core/split.h"
 #include "obs/obs.h"
-#include "relation/weak_instance.h"
 
 namespace ird {
 
@@ -56,37 +53,6 @@ Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
   }
   flush();
   return q;
-}
-
-Result<CtmMaintainer> CtmMaintainer::Create(DatabaseState state,
-                                            bool verify_consistency) {
-  if (!IsKeyEquivalent(state.scheme())) {
-    return FailedPrecondition(
-        "CtmMaintainer requires a key-equivalent scheme");
-  }
-  if (!IsSplitFree(state.scheme())) {
-    return FailedPrecondition(
-        "CtmMaintainer requires a split-free scheme (Corollary 3.3)");
-  }
-  if (verify_consistency && !IsConsistent(state)) {
-    return Inconsistent("initial state has no weak instance");
-  }
-  Result<StateKeyIndex> index = StateKeyIndex::Build(state);
-  if (!index.ok()) return index.status();
-  return CtmMaintainer(std::move(state), std::move(index).value());
-}
-
-Result<PartialTuple> CtmMaintainer::CheckInsert(size_t rel,
-                                                const PartialTuple& tuple,
-                                                ExtensionStats* stats) const {
-  return CheckInsertCtm(state_.scheme(), index_, rel, tuple, stats);
-}
-
-Status CtmMaintainer::Insert(size_t rel, const PartialTuple& tuple) {
-  Result<PartialTuple> q = CheckInsert(rel, tuple);
-  if (!q.ok()) return q.status();
-  state_.mutable_relation(rel).AddUnique(tuple);
-  return index_.AddTuple(rel, tuple);
 }
 
 }  // namespace ird

@@ -24,33 +24,6 @@ Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
                                     ExtensionStats* stats = nullptr,
                                     MaintainScratch* scratch = nullptr);
 
-// Stateful wrapper over a whole split-free key-equivalent scheme.
-class CtmMaintainer {
- public:
-  // `state` must live on a split-free key-equivalent scheme and be
-  // consistent. `verify_consistency` additionally chases the initial state
-  // (exact but state-sized work); switch it off when the state is known
-  // consistent, e.g. built through maintained inserts.
-  static Result<CtmMaintainer> Create(DatabaseState state,
-                                      bool verify_consistency = true);
-
-  // Algorithm 5. Returns q on yes, kInconsistent on no.
-  Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple,
-                                   ExtensionStats* stats = nullptr) const;
-
-  // CheckInsert + apply (state and key indexes).
-  Status Insert(size_t rel, const PartialTuple& tuple);
-
-  const DatabaseState& state() const { return state_; }
-
- private:
-  CtmMaintainer(DatabaseState state, StateKeyIndex index)
-      : state_(std::move(state)), index_(std::move(index)) {}
-
-  DatabaseState state_;
-  StateKeyIndex index_;
-};
-
 }  // namespace ird
 
 #endif  // IRD_CORE_CTM_MAINTAINER_H_

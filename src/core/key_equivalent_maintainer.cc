@@ -1,9 +1,7 @@
 #include "core/key_equivalent_maintainer.h"
 
-#include <numeric>
 #include <utility>
 
-#include "core/key_equivalence.h"
 #include "obs/obs.h"
 
 namespace ird {
@@ -96,34 +94,6 @@ Result<PartialTuple> CheckInsertKeyEquivalent(
   }
   // Step (11): yes, plus the extended tuple q.
   return q;
-}
-
-Result<KeyEquivalentMaintainer> KeyEquivalentMaintainer::Create(
-    DatabaseState state) {
-  if (!IsKeyEquivalent(state.scheme())) {
-    return FailedPrecondition(
-        "KeyEquivalentMaintainer requires a key-equivalent scheme");
-  }
-  std::vector<size_t> pool(state.scheme().size());
-  std::iota(pool.begin(), pool.end(), 0);
-  Result<RepresentativeIndex> index = RepresentativeIndex::Build(state, pool);
-  if (!index.ok()) return index.status();
-  return KeyEquivalentMaintainer(std::move(state),
-                                 std::move(index).value(), std::move(pool));
-}
-
-Result<PartialTuple> KeyEquivalentMaintainer::CheckInsert(
-    size_t rel, const PartialTuple& tuple, MaintenanceStats* stats) const {
-  return CheckInsertKeyEquivalent(state_.scheme(), pool_keys_, index_, rel,
-                                  tuple, stats);
-}
-
-Status KeyEquivalentMaintainer::Insert(size_t rel,
-                                       const PartialTuple& tuple) {
-  Result<PartialTuple> q = CheckInsert(rel, tuple);
-  if (!q.ok()) return q.status();
-  state_.mutable_relation(rel).AddUnique(tuple);
-  return index_.InsertTuple(rel, tuple);
 }
 
 }  // namespace ird

@@ -45,38 +45,6 @@ Result<PartialTuple> CheckInsertKeyEquivalent(
     const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
     MaintenanceStats* stats = nullptr, MaintainScratch* scratch = nullptr);
 
-// Stateful wrapper over a whole key-equivalent scheme: owns the state and
-// keeps the representative instance in sync across accepted inserts.
-class KeyEquivalentMaintainer {
- public:
-  // `state` must live on a key-equivalent scheme and be consistent (Build
-  // of the representative index verifies consistency as a byproduct).
-  static Result<KeyEquivalentMaintainer> Create(DatabaseState state);
-
-  // Algorithm 2. Returns q on yes, kInconsistent on no.
-  Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple,
-                                   MaintenanceStats* stats = nullptr) const;
-
-  // CheckInsert + apply: updates both the state and the index.
-  Status Insert(size_t rel, const PartialTuple& tuple);
-
-  const DatabaseState& state() const { return state_; }
-  const RepresentativeIndex& index() const { return index_; }
-
- private:
-  KeyEquivalentMaintainer(DatabaseState state, RepresentativeIndex index,
-                          std::vector<size_t> pool)
-      : state_(std::move(state)),
-        index_(std::move(index)),
-        pool_(std::move(pool)),
-        pool_keys_(DistinctPoolKeys(state_.scheme(), pool_)) {}
-
-  DatabaseState state_;
-  RepresentativeIndex index_;
-  std::vector<size_t> pool_;
-  std::vector<AttributeSet> pool_keys_;  // DistinctPoolKeys(scheme, pool_)
-};
-
 }  // namespace ird
 
 #endif  // IRD_CORE_KEY_EQUIVALENT_MAINTAINER_H_

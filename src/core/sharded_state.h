@@ -1,11 +1,9 @@
 // ShardedState: a database state partitioned along the scheme's
 // independence-reducible partition, one BlockShard per block. The router
 // maps each relation to the shard that owns it; writes are block-local by
-// Theorem 4.2, and cross-block reads (total projection, the QueryEngine
-// path) are answered by fanning out to the shards a plan touches and
-// merging their views. The single-shard IndependenceReducibleMaintainer
-// remains the oracle this engine is differentially compared against
-// (oracle routine `maintenance/sharded-vs-single`).
+// Theorem 4.2, and cross-block reads (total projection) are answered by
+// fanning out to the shards a plan touches and merging their views. The
+// plan cache below is the library's only one.
 
 #ifndef IRD_CORE_SHARDED_STATE_H_
 #define IRD_CORE_SHARDED_STATE_H_
@@ -59,9 +57,7 @@ class ShardedState {
   size_t TupleCount() const;
 
   // Fan-in: reassembles the full database state from the shard substates.
-  // Tuple order within each relation is the shard's insertion order, so a
-  // sharded and a single-shard engine fed the same insert sequence
-  // materialize byte-identical states.
+  // Tuple order within each relation is the shard's insertion order.
   DatabaseState Materialize() const;
 
   // The Theorem 4.1 bounded total projection [X], answered through the
@@ -74,13 +70,13 @@ class ShardedState {
   //
   // Safe to call concurrently with other TotalProjection/PlanFor calls:
   // the plan cache is the only state this read path mutates, and it is
-  // guarded (the ird_serve cross-request cache will hit exactly this
-  // shape). Concurrent with writers (Insert/mutable_shard) it is not.
+  // guarded. Concurrent with writers (Insert/mutable_shard) it is not.
   PartialRelation TotalProjection(const AttributeSet& x)
       IRD_EXCLUDES(plans_mu_);
 
   // The cached Theorem 4.1 plan for [X] (nullptr when no lossless subset
-  // of the induced scheme covers X) — the QueryEngine-style plan cache.
+  // of the induced scheme covers X). Compiled once per X; later calls
+  // return the same plan object.
   ExprPtr PlanFor(const AttributeSet& x) IRD_EXCLUDES(plans_mu_);
 
  private:

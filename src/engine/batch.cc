@@ -29,6 +29,9 @@ void BatchAnalyzer::Worker() {
     while (!shutdown_ && generation_ == seen) work_cv_.Wait(mu_);
     if (shutdown_) break;
     seen = generation_;
+    // Woken only after that batch already returned: nothing to drain, and
+    // the cursor may belong to the next batch.
+    if (fn_ == nullptr) continue;
     const std::function<void(size_t)>* fn = fn_;
     const size_t count = count_;
     obs::ObsContext* ctx = ctx_;

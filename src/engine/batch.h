@@ -24,6 +24,14 @@
 // and since the fields carry IRD_GUARDED_BY(mu_), that sentence is a
 // compiler-checked fact under clang -Wthread-safety, not a comment.
 //
+// Handout invariant: a worker enters a drain loop only while fn_ points
+// at a batch that cannot return before active_workers_ is 0. A worker
+// that wakes for generation N after batch N has returned (fn_ is null
+// again) goes back to sleep instead of claiming indices from the cursor
+// batch N+1 may already have reset. No lock or atomic discipline can see
+// that protocol bug, so TSan and -Wthread-safety do not; only
+// BackToBackGenerationsHandOutExactlyOnce on real cores does.
+//
 // ForEachIndex blocks until every index has run. Payloads must not throw.
 
 #ifndef IRD_ENGINE_BATCH_H_

@@ -2,10 +2,9 @@
 
 #include <optional>
 #include <random>
+#include <unordered_set>
 
-#include "core/block_maintainer.h"
 #include "core/classify.h"
-#include "core/consistency.h"
 #include "core/ctm_maintainer.h"
 #include "core/expression_maintenance.h"
 #include "core/independence.h"
@@ -17,6 +16,7 @@
 #include "core/representative_index.h"
 #include "core/sharded_maintainer.h"
 #include "core/split.h"
+#include "core/state_key_index.h"
 #include "core/total_projection.h"
 #include "engine/scheme_analysis.h"
 #include "oracle/chase_check.h"
@@ -48,13 +48,20 @@ std::string PartitionToString(const DatabaseScheme& scheme,
   return out;
 }
 
-std::string StateToString(const DatabaseState& state) {
-  std::string out;
-  for (size_t i = 0; i < state.scheme().size(); ++i) {
-    out += state.scheme().relation(i).name + ": " +
-           state.relation(i).ToString(state.scheme().universe()) + "\n";
+// Set comparison built here rather than on PartialRelation::SetEquals,
+// whose Contains shares the dedup index with the AddUnique that
+// BlockShard::Apply runs.
+using TupleSet = std::unordered_set<PartialTuple, PartialTupleHash>;
+
+TupleSet AsSet(const PartialRelation& relation) {
+  return TupleSet(relation.tuples().begin(), relation.tuples().end());
+}
+
+bool SameStateSets(const DatabaseState& a, const DatabaseState& b) {
+  for (size_t i = 0; i < a.scheme().size(); ++i) {
+    if (AsSet(a.relation(i)) != AsSet(b.relation(i))) return false;
   }
-  return out;
+  return true;
 }
 
 bool SameInduced(const std::optional<DatabaseScheme>& a,
@@ -258,27 +265,15 @@ class Comparator {
     if (!naive_consistent) return;  // everything below assumes consistency
 
     RecognitionResult recognition = RecognizeIndependenceReducible(scheme_);
-    if (recognition.accepted) {
-      Expect(CheckConsistencyByBlocks(state, recognition).ok(),
-             "chase/by-blocks",
-             "block-decomposed consistency check rejects a consistent "
-             "state");
-    }
-
     bool ke = IsKeyEquivalent(scheme_);
     bool ctm = ke && IsSplitFree(scheme_);
 
     // Total projections: predetermined expressions and the representative
     // index vs the exhaustive chase.
     std::mt19937_64 rng(options_.seed + 2);
-    std::vector<AttributeId> all = scheme_.AllAttrs().ToVector();
     if (recognition.accepted) {
       for (size_t round = 0; round < options_.projection_targets; ++round) {
-        AttributeSet x;
-        for (AttributeId a : all) {
-          if (rng() % 3 == 0) x.Add(a);
-        }
-        if (x.Empty()) x.Add(all[rng() % all.size()]);
+        AttributeSet x = RandomTarget(rng);
         Result<PartialRelation> naive = TotalProjectionNaive(state, x);
         if (!naive.ok()) continue;
         PartialRelation bounded = TotalProjection(state, recognition, x);
@@ -291,6 +286,7 @@ class Comparator {
                    "] disagrees with the exhaustive chase");
       }
     }
+    std::optional<RepresentativeIndex> rep;
     if (ke) {
       Result<RepresentativeIndex> index = RepresentativeIndex::Build(state);
       if (!index.ok()) {
@@ -298,10 +294,10 @@ class Comparator {
                "RepresentativeIndex::Build failed on a consistent state: " +
                    index.status().ToString());
       } else {
+        rep.emplace(std::move(index).value());
         for (const RelationScheme& r : scheme_.relations()) {
           Result<PartialRelation> naive = TotalProjectionNaive(state, r.attrs);
-          Expect(naive.ok() && index->TotalProjection(r.attrs)
-                     .SetEquals(*naive),
+          Expect(naive.ok() && rep->TotalProjection(r.attrs).SetEquals(*naive),
                  "projection/algorithm1",
                  "representative index [" + r.name +
                      "] disagrees with the exhaustive chase");
@@ -309,41 +305,27 @@ class Comparator {
       }
     }
 
-    // Maintenance: every applicable maintainer vs re-chasing exhaustively.
-    std::optional<IndependenceReducibleMaintainer> block;
-    if (recognition.accepted) {
-      Result<IndependenceReducibleMaintainer> m =
-          IndependenceReducibleMaintainer::Create(state);
-      if (m.ok()) {
-        block.emplace(std::move(m).value());
-      } else {
-        Report("maintenance/block",
-               "block maintainer rejected a consistent state: " +
-                   m.status().ToString());
-      }
-    }
-    std::optional<KeyEquivalentMaintainer> alg2;
+    // Maintenance kernels vs re-chasing exhaustively, each insert judged
+    // against the initial state: Algorithm 2 on the representative
+    // instance, Algorithm 5 on the raw-state key indexes, and the §3.2
+    // expression lookup.
+    std::vector<AttributeSet> all_keys;
     std::optional<ExpressionLookupPlan> plan;
     if (ke) {
-      Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(state);
-      if (m.ok()) {
-        alg2.emplace(std::move(m).value());
-      } else {
-        Report("maintenance/alg2",
-               "Algorithm 2 maintainer rejected a consistent state: " +
-                   m.status().ToString());
-      }
+      std::vector<size_t> pool(scheme_.size());
+      for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
+      all_keys = DistinctPoolKeys(scheme_, pool);
       plan.emplace(ExpressionLookupPlan::Build(scheme_));
     }
-    std::optional<CtmMaintainer> alg5;
+    std::optional<StateKeyIndex> key_index;
     if (ctm) {
-      Result<CtmMaintainer> m = CtmMaintainer::Create(state);
-      if (m.ok()) {
-        alg5.emplace(std::move(m).value());
+      Result<StateKeyIndex> index = StateKeyIndex::Build(state);
+      if (index.ok()) {
+        key_index.emplace(std::move(index).value());
       } else {
         Report("maintenance/alg5",
-               "Algorithm 5 maintainer rejected a consistent state: " +
-                   m.status().ToString());
+               "StateKeyIndex::Build failed on a consistent state: " +
+                   index.status().ToString());
       }
     }
 
@@ -352,19 +334,16 @@ class Comparator {
                          options_.conflict_rate, options_.seed + 3);
     for (const InsertInstance& ins : stream) {
       bool truth = WouldRemainConsistentNaive(state, ins.rel, ins.tuple);
-      std::string which = "insert " + ins.tuple.ToString(scheme_.universe()) +
-                          " into " + scheme_.relation(ins.rel).name;
+      std::string which = Which(ins);
       Expect(truth == ins.expected_consistent, "chase/stream-generator",
              "MakeInsertStream mislabeled " + which);
       Expect(WouldRemainConsistent(state, ins.rel, ins.tuple) == truth,
              "chase/maintenance",
              "optimized chase disagrees with exhaustive chase on " + which);
-      if (block.has_value()) {
-        Expect(block->CheckInsert(ins.rel, ins.tuple).ok() == truth,
-               "maintenance/block", "block maintainer misjudges " + which);
-      }
-      if (alg2.has_value()) {
-        Expect(alg2->CheckInsert(ins.rel, ins.tuple).ok() == truth,
+      if (rep.has_value()) {
+        Expect(CheckInsertKeyEquivalent(scheme_, all_keys, *rep, ins.rel,
+                                        ins.tuple)
+                       .ok() == truth,
                "maintenance/alg2", "Algorithm 2 misjudges " + which);
       }
       if (plan.has_value()) {
@@ -373,91 +352,113 @@ class Comparator {
         Expect(expr.ok() == truth, "maintenance/expressions",
                "§3.2 expression lookup misjudges " + which);
       }
-      if (alg5.has_value()) {
-        Expect(alg5->CheckInsert(ins.rel, ins.tuple).ok() == truth,
+      if (key_index.has_value()) {
+        Expect(CheckInsertCtm(scheme_, *key_index, ins.rel, ins.tuple).ok() ==
+                   truth,
                "maintenance/alg5", "Algorithm 5 misjudges " + which);
       }
     }
 
     if (recognition.accepted) {
-      CompareShardedVsSingle(state, recognition, stream);
+      // The first half of the stream was drawn from the initial state.
+      stream.resize(stream.size() - stream.size() / 2);
+      CompareStateful(state, stream);
     }
   }
 
-  // The sharded engine vs the single-shard oracle path: the same insert
-  // stream driven through both must produce byte-identical verdicts,
-  // post-insert materialized states and total projections, and the batch
-  // path (InsertBatch, which regroups ops per shard) must match the serial
-  // one op for op.
-  void CompareShardedVsSingle(const DatabaseState& state,
-                              const RecognitionResult& recognition,
-                              const std::vector<InsertInstance>& stream) {
-    constexpr char kRoutine[] = "maintenance/sharded-vs-single";
-    Result<IndependenceReducibleMaintainer> single_r =
-        IndependenceReducibleMaintainer::Create(state);
-    Result<ShardedMaintainer> sharded_r = ShardedMaintainer::Create(state);
-    Expect(single_r.ok() == sharded_r.ok(), kRoutine,
-           "engines disagree on accepting the initial state");
-    if (!single_r.ok() || !sharded_r.ok()) return;
-    IndependenceReducibleMaintainer single = std::move(single_r).value();
-    ShardedMaintainer sharded = std::move(sharded_r).value();
-
-    Expect(single.IsCtm() == sharded.IsCtm(), kRoutine,
-           "engines disagree on ctm (Theorem 5.5 over the shards)");
-    Expect(StateToString(single.state()) ==
-               StateToString(sharded.Materialize()),
-           kRoutine, "initial materialized states differ");
-
-    std::vector<InsertOp> ops;
-    for (const InsertInstance& ins : stream) {
-      std::string which = "insert " + ins.tuple.ToString(scheme_.universe()) +
-                          " into " + scheme_.relation(ins.rel).name;
-      Status sv = single.Insert(ins.rel, ins.tuple);
-      Status dv = sharded.Insert(ins.rel, ins.tuple);
-      Expect(sv.ok() == dv.ok(), kRoutine,
-             "sharded verdict differs from single-shard on " + which);
-      if (sv.ok()) ops.push_back({ins.rel, ins.tuple});
+  // The one stateful engine vs the exhaustive chase on the accumulated
+  // state. A ShardedMaintainer takes the stream serially; the oracle side
+  // grows its own copy of the state with Add, so the ground truth shares
+  // no dedup or index code with BlockShard::Apply. Every verdict is held
+  // to WouldRemainConsistentNaive and every accepted insert is followed by
+  // one random [X] held to TotalProjectionNaive. The stream's second half
+  // is drawn from the accumulated state, so its conflicts can hit tuples
+  // the stream itself inserted — an Apply that forgets an index update
+  // accepts them. Finally an InsertBatch replay of the whole stream on a
+  // fresh maintainer must repeat the serial verdicts op for op and land
+  // on the same final state as a set.
+  void CompareStateful(const DatabaseState& initial,
+                       const std::vector<InsertInstance>& first_half) {
+    constexpr char kRoutine[] = "maintenance/stateful";
+    Result<ShardedMaintainer> serial_r = ShardedMaintainer::Create(initial);
+    if (!serial_r.ok()) {
+      Report(kRoutine, "ShardedMaintainer rejected a consistent state: " +
+                           serial_r.status().ToString());
+      return;
     }
-    Expect(StateToString(single.state()) ==
-               StateToString(sharded.Materialize()),
-           kRoutine, "post-insert materialized states differ");
-
-    // Total projections through the shard router vs the merged state.
+    ShardedMaintainer serial = std::move(serial_r).value();
+    DatabaseState truth_state = initial;
     std::mt19937_64 rng(options_.seed + 5);
-    std::vector<AttributeId> all = scheme_.AllAttrs().ToVector();
-    for (size_t round = 0; round < options_.projection_targets; ++round) {
-      AttributeSet x;
-      for (AttributeId a : all) {
-        if (rng() % 3 == 0) x.Add(a);
+    std::vector<InsertOp> ops;
+    std::vector<bool> verdicts;
+    // Returns false at the first wrong verdict: the engine's state and the
+    // oracle's have parted, so later checks would only repeat the report.
+    auto replay = [&](const std::vector<InsertInstance>& part) {
+      for (const InsertInstance& ins : part) {
+        bool truth =
+            WouldRemainConsistentNaive(truth_state, ins.rel, ins.tuple);
+        bool accepted = serial.Insert(ins.rel, ins.tuple).ok();
+        Expect(accepted == truth, kRoutine,
+               "op " + std::to_string(ops.size()) + " " +
+                   (accepted ? "accepted " : "rejected ") + Which(ins) +
+                   " against the exhaustive chase of the accumulated state");
+        if (accepted != truth) return false;
+        ops.push_back({ins.rel, ins.tuple});
+        verdicts.push_back(accepted);
+        if (!accepted) continue;
+        truth_state.mutable_relation(ins.rel).Add(ins.tuple);
+        AttributeSet x = RandomTarget(rng);
+        Result<PartialRelation> naive = TotalProjectionNaive(truth_state, x);
+        Expect(naive.ok() &&
+                   AsSet(serial.TotalProjection(x)) == AsSet(*naive),
+               kRoutine,
+               "total projection [" + scheme_.universe().Format(x) +
+                   "] after op " + std::to_string(ops.size() - 1) +
+                   " disagrees with the exhaustive chase");
       }
-      if (x.Empty()) x.Add(all[rng() % all.size()]);
-      PartialRelation merged = TotalProjection(single.state(), recognition, x);
-      PartialRelation fanned = sharded.TotalProjection(x);
-      Expect(fanned.ToString(scheme_.universe()) ==
-                 merged.ToString(scheme_.universe()),
-             kRoutine,
-             "sharded [" + scheme_.universe().Format(x) +
-                 "] differs from the merged-state projection");
-    }
+      return true;
+    };
+    if (!replay(first_half)) return;
+    std::vector<InsertInstance> second_half = MakeInsertStream(
+        scheme_, truth_state, options_.insert_count - first_half.size(),
+        options_.conflict_rate, options_.seed + 4);
+    if (!replay(second_half)) return;
+    Expect(SameStateSets(serial.Materialize(), truth_state), kRoutine,
+           "serial final state differs from the oracle's as a set");
 
-    // Batch path: replaying the accepted ops through InsertBatch on a fresh
-    // engine must accept every op and land on the same materialized state.
-    Result<ShardedMaintainer> batch_r = ShardedMaintainer::Create(state);
+    Result<ShardedMaintainer> batch_r = ShardedMaintainer::Create(initial);
     if (!batch_r.ok()) {
-      Report(kRoutine, "second sharded engine rejected the initial state: " +
+      Report(kRoutine, "a second ShardedMaintainer rejected the state: " +
                            batch_r.status().ToString());
       return;
     }
     ShardedMaintainer batch = std::move(batch_r).value();
-    std::vector<Status> verdicts = batch.InsertBatch(ops);
-    for (size_t i = 0; i < verdicts.size(); ++i) {
-      Expect(verdicts[i].ok(), kRoutine,
-             "InsertBatch rejected accepted op " + std::to_string(i) + ": " +
-                 verdicts[i].ToString());
+    std::vector<Status> batch_verdicts = batch.InsertBatch(ops);
+    for (size_t i = 0; i < ops.size(); ++i) {
+      Expect(batch_verdicts[i].ok() == verdicts[i], kRoutine,
+             "InsertBatch verdict on op " + std::to_string(i) +
+                 " differs from the serial run: " +
+                 batch_verdicts[i].ToString());
     }
-    Expect(StateToString(batch.Materialize()) ==
-               StateToString(sharded.Materialize()),
-           kRoutine, "batch-path state differs from the serial sharded path");
+    Expect(SameStateSets(batch.Materialize(), truth_state), kRoutine,
+           "InsertBatch final state differs from the oracle's as a set");
+  }
+
+  // A random non-empty projection target: each attribute with
+  // probability 1/3.
+  AttributeSet RandomTarget(std::mt19937_64& rng) const {
+    std::vector<AttributeId> all = scheme_.AllAttrs().ToVector();
+    AttributeSet x;
+    for (AttributeId a : all) {
+      if (rng() % 3 == 0) x.Add(a);
+    }
+    if (x.Empty()) x.Add(all[rng() % all.size()]);
+    return x;
+  }
+
+  std::string Which(const InsertInstance& ins) const {
+    return "insert " + ins.tuple.ToString(scheme_.universe()) + " into " +
+           scheme_.relation(ins.rel).name;
   }
 
   const DatabaseScheme& scheme_;

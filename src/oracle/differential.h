@@ -21,12 +21,15 @@
 //   classification   ClassifyScheme flags vs oracle-assembled flags
 //   projection       Theorem 4.1 expressions and RepresentativeIndex vs
 //                    naive [X]
-//   maintenance      Algorithms 2/5, block maintainer, §3.2 expression
-//                    lookup vs re-chasing the enlarged state exhaustively;
-//                    sharded-vs-single drives one insert stream through the
-//                    ShardedMaintainer and the single-shard block maintainer
-//                    and demands byte-identical verdicts, materialized
-//                    states and total projections (serial and batch paths)
+//   maintenance      the Algorithm 2/5 kernels and the §3.2 expression
+//                    lookup vs re-chasing the enlarged initial state
+//                    exhaustively; `stateful` drives one stream through a
+//                    ShardedMaintainer and holds every verdict, and one
+//                    random [X] after every accepted insert, to the
+//                    exhaustive chase of an Add-built copy of the
+//                    accumulated state (second half of the stream drawn
+//                    from that state), then demands an InsertBatch replay
+//                    with the same verdicts and final state as a set
 
 #ifndef IRD_ORACLE_DIFFERENTIAL_H_
 #define IRD_ORACLE_DIFFERENTIAL_H_

@@ -6,7 +6,7 @@
 
 #include <random>
 
-#include "core/consistency.h"
+#include "core/sharded_state.h"
 #include "fd/closure_engine.h"
 #include "relation/weak_instance.h"
 #include "tests/test_util.h"
@@ -157,18 +157,20 @@ TEST(ChasePropertyTest, CoverReplacementPreservesTheChase) {
 }
 
 TEST(ChasePropertyTest, BlockConsistencyMatchesGlobalChase) {
-  // §4.2 as a checker: block-based consistency == whole-chase consistency
-  // on accepted schemes, across noisy states.
+  // §4.2 as a checker: block-based consistency (ShardedState::Create
+  // chases each block substate once) == whole-chase consistency on
+  // accepted schemes, across noisy states.
   std::vector<DatabaseScheme> schemes = {test::Example1R(), test::Example11(),
                                          MakeBlockScheme(2, 3)};
   for (const DatabaseScheme& s : schemes) {
-    RecognitionResult r = RecognizeIndependenceReducible(s);
-    ASSERT_TRUE(r.accepted);
+    ASSERT_TRUE(RecognizeIndependenceReducible(s).accepted);
     size_t inconsistent_seen = 0;
     for (uint64_t seed = 0; seed < 30; ++seed) {
       DatabaseState state = MakeNoisyState(s, 10, seed + 90);
       bool truth = IsConsistent(state);
-      EXPECT_EQ(CheckConsistencyByBlocks(state, r).ok(), truth) << seed;
+      EXPECT_EQ(ShardedState::Create(state, /*verify_consistency=*/true).ok(),
+                truth)
+          << seed;
       inconsistent_seen += truth ? 0 : 1;
     }
     // The noisy generator must actually produce both outcomes for the

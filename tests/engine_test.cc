@@ -229,20 +229,24 @@ TEST(BatchAnalyzerTest, ParallelAnalysisMatchesSerial) {
 // done_/active_workers_, now IRD_GUARDED_BY(mu_)): hundreds of
 // back-to-back generations of varying sizes on one pool, so a late worker
 // from batch N always overlaps the start of batch N+1 somewhere. Exactly-
-// once handout must survive every generation; the CI TSan job holds the
-// conversion to the same story at runtime.
+// once handout must survive every generation at 2, 4 and 8 jobs (a worker
+// that wakes after its batch returned must not drain the next one's
+// cursor); the CI TSan job holds the conversion to the same story at
+// runtime, and CI repeats this binary 50 times on multi-core runners.
 TEST(BatchAnalyzerTest, BackToBackGenerationsHandOutExactlyOnce) {
-  BatchAnalyzer batch(8);
-  for (size_t generation = 0; generation < 200; ++generation) {
-    const size_t count = 1 + (generation * 7) % 97;
-    std::vector<std::atomic<int>> hits(count);
-    for (std::atomic<int>& h : hits) h.store(0);
-    batch.ForEachIndex(count, [&](size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (size_t i = 0; i < count; ++i) {
-      ASSERT_EQ(hits[i].load(), 1)
-          << "generation " << generation << " index " << i;
+  for (size_t jobs : {2u, 4u, 8u}) {
+    BatchAnalyzer batch(jobs);
+    for (size_t generation = 0; generation < 200; ++generation) {
+      const size_t count = 1 + (generation * 7) % 97;
+      std::vector<std::atomic<int>> hits(count);
+      for (std::atomic<int>& h : hits) h.store(0);
+      batch.ForEachIndex(count, [&](size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "jobs " << jobs << " generation "
+                                     << generation << " index " << i;
+      }
     }
   }
 }

@@ -1,11 +1,20 @@
+// The maintenance algorithms one by one. Stateful cases run on
+// ShardedMaintainer, whose one block covers a key-equivalent scheme and
+// picks Algorithm 5 (split-free) or Algorithm 2 (split) by Theorem 5.5;
+// cases that force Algorithm 2 onto a split-free scheme call the
+// CheckInsertKeyEquivalent kernel on a RepresentativeIndex directly.
+
+#include <numeric>
+
 #include <gtest/gtest.h>
 
-#include "core/block_maintainer.h"
 #include "core/ctm_maintainer.h"
 #include "core/key_equivalent_maintainer.h"
+#include "core/sharded_maintainer.h"
 #include "core/split.h"
 #include "core/tuple_extension.h"
 #include "relation/weak_instance.h"
+#include "tests/stream_replay.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -14,6 +23,32 @@ namespace {
 
 using test::Attrs;
 using test::Tuple;
+
+// The Algorithm 2 kernel with the whole scheme as its pool, on the
+// representative instance of `state` (which must outlive it) — Algorithm 2
+// whatever the scheme's split status.
+class Alg2Kernel {
+ public:
+  explicit Alg2Kernel(const DatabaseState& state)
+      : scheme_(state.scheme()),
+        pool_(scheme_.size()),
+        index_(RepresentativeIndex::Build(state)) {
+    std::iota(pool_.begin(), pool_.end(), 0);
+  }
+
+  bool ok() const { return index_.ok(); }
+
+  Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple,
+                                   MaintenanceStats* stats = nullptr) const {
+    return CheckInsertKeyEquivalent(scheme_, pool_, *index_, rel, tuple,
+                                    stats);
+  }
+
+ private:
+  const DatabaseScheme& scheme_;
+  std::vector<size_t> pool_;
+  Result<RepresentativeIndex> index_;
+};
 
 // --- Algorithm 2 (algebraic maintenance) ------------------------------------
 
@@ -27,15 +62,15 @@ TEST(Algorithm2Test, Example6RejectsTheInsert) {
   state.mutable_relation(1).Add(Tuple(s, "AC", {a, c}));
   state.mutable_relation(4).Add(Tuple(s, "BD", {b, d}));
   state.mutable_relation(5).Add(Tuple(s, "CDE", {c, d, e}));
-  Result<KeyEquivalentMaintainer> m =
-      KeyEquivalentMaintainer::Create(std::move(state));
+  // Example 6's scheme is split-free, so Algorithm 2 is forced here.
+  Alg2Kernel m(state);
   ASSERT_TRUE(m.ok());
   Result<PartialTuple> verdict =
-      m->CheckInsert(0, Tuple(s, "ABE", {a, b, e2}));
+      m.CheckInsert(0, Tuple(s, "ABE", {a, b, e2}));
   EXPECT_FALSE(verdict.ok());
   EXPECT_EQ(verdict.status().code(), StatusCode::kInconsistent);
   // Inserting with the matching E value is fine.
-  EXPECT_TRUE(m->CheckInsert(0, Tuple(s, "ABE", {a, b, e})).ok());
+  EXPECT_TRUE(m.CheckInsert(0, Tuple(s, "ABE", {a, b, e})).ok());
 }
 
 TEST(Algorithm2Test, Example7RejectsTheInsert) {
@@ -53,9 +88,10 @@ TEST(Algorithm2Test, Example7RejectsTheInsert) {
   state.mutable_relation(3).Add(Tuple(s, "EB", {e2, b}));
   state.mutable_relation(3).Add(Tuple(s, "EB", {e3, b}));
   state.mutable_relation(4).Add(Tuple(s, "EC", {e1, c}));
-  Result<KeyEquivalentMaintainer> m =
-      KeyEquivalentMaintainer::Create(std::move(state));
+  // One split block: the maintainer runs Algorithm 2.
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(std::move(state));
   ASSERT_TRUE(m.ok());
+  ASSERT_FALSE(m->IsCtm());
   EXPECT_FALSE(m->CheckInsert(2, Tuple(s, "AE", {a, e})).ok());
   Result<PartialTuple> accept = m->CheckInsert(2, Tuple(s, "AE", {a, e1}));
   ASSERT_TRUE(accept.ok());
@@ -66,10 +102,9 @@ TEST(Algorithm2Test, AcceptReturnsExtendedTuple) {
   DatabaseScheme s = test::Example9();
   DatabaseState state(s);
   state.Insert("R2", {2, 3});  // B C
-  Result<KeyEquivalentMaintainer> m =
-      KeyEquivalentMaintainer::Create(std::move(state));
+  Alg2Kernel m(state);
   ASSERT_TRUE(m.ok());
-  Result<PartialTuple> q = m->CheckInsert(0, Tuple(s, "AB", {1, 2}));
+  Result<PartialTuple> q = m.CheckInsert(0, Tuple(s, "AB", {1, 2}));
   ASSERT_TRUE(q.ok());
   // q extends through B to the <2,3> fragment.
   EXPECT_TRUE(q->DefinedOnAll(Attrs(s, "ABC")));
@@ -88,13 +123,13 @@ TEST(Algorithm2Test, AgreesWithChaseOnStreams) {
     opt.coverage = 0.6;
     opt.seed = 5;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(state);
+    Alg2Kernel m(state);
     ASSERT_TRUE(m.ok());
     std::vector<InsertInstance> stream =
         MakeInsertStream(s, state, 40, 0.4, 99);
     for (const InsertInstance& ins : stream) {
       bool chase_verdict = WouldRemainConsistent(state, ins.rel, ins.tuple);
-      bool alg2_verdict = m->CheckInsert(ins.rel, ins.tuple).ok();
+      bool alg2_verdict = m.CheckInsert(ins.rel, ins.tuple).ok();
       EXPECT_EQ(alg2_verdict, chase_verdict)
           << s.relation(ins.rel).name << " "
           << ins.tuple.ToString(s.universe());
@@ -104,26 +139,17 @@ TEST(Algorithm2Test, AgreesWithChaseOnStreams) {
 }
 
 TEST(Algorithm2Test, AppliedInsertsKeepTheMaintainerInSync) {
-  DatabaseScheme s = MakeChainScheme(3);
-  DatabaseState initial(s);
-  Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(initial);
-  ASSERT_TRUE(m.ok());
-  std::vector<InsertInstance> stream =
-      MakeInsertStream(s, initial, 60, 0.3, 7);
-  for (const InsertInstance& ins : stream) {
-    bool chase_verdict =
-        WouldRemainConsistent(m->state(), ins.rel, ins.tuple);
-    Status applied = m->Insert(ins.rel, ins.tuple);
-    EXPECT_EQ(applied.ok(), chase_verdict);
-  }
-  EXPECT_TRUE(IsConsistent(m->state()));
-}
-
-TEST(Algorithm2Test, CreateRejectsNonKeyEquivalentScheme) {
-  DatabaseState state(test::Example1R());
-  Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(state);
-  EXPECT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kFailedPrecondition);
+  // A split scheme, so every insert goes through Algorithm 2 and every
+  // accepted one through RepresentativeIndex::InsertTuple.
+  DatabaseScheme s = MakeSplitScheme(2);
+  StateGenOptions opt;
+  opt.entities = 8;
+  opt.seed = 7;
+  DatabaseState initial = MakeConsistentState(s, opt);
+  ASSERT_FALSE(IsSplitFree(s));
+  test::ReplayCounts counts = test::ReplayTwoStreams(initial, 40, 0.3, 7);
+  EXPECT_GT(counts.accepted, 0u);
+  EXPECT_GT(counts.rejected, 0u);
 }
 
 TEST(Algorithm2Test, CreateRejectsInconsistentState) {
@@ -131,7 +157,10 @@ TEST(Algorithm2Test, CreateRejectsInconsistentState) {
   DatabaseState state(s);
   state.Insert(0, {1, 2});
   state.Insert(0, {1, 3});
-  EXPECT_FALSE(KeyEquivalentMaintainer::Create(state).ok());
+  EXPECT_FALSE(RepresentativeIndex::Build(state).ok());
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
+  EXPECT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kInconsistent);
 }
 
 // --- Algorithm 4 (tuple extension) ------------------------------------------
@@ -204,19 +233,12 @@ TEST(Algorithm5Test, Example10RejectsTheInsert) {
   DatabaseState state(s);
   state.Insert("R1", {a, b});
   state.Insert("R2", {b, c});
-  Result<CtmMaintainer> m = CtmMaintainer::Create(std::move(state));
+  // One split-free block: the maintainer runs Algorithm 5.
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(std::move(state));
   ASSERT_TRUE(m.ok());
+  ASSERT_TRUE(m->IsCtm());
   EXPECT_FALSE(m->CheckInsert(2, Tuple(s, "AC", {a, c2})).ok());
   EXPECT_TRUE(m->CheckInsert(2, Tuple(s, "AC", {a, c})).ok());
-}
-
-TEST(Algorithm5Test, CreateRejectsSplitScheme) {
-  // Example 4/5's scheme is key-equivalent but split: Algorithm 5 is not
-  // applicable (Corollary 3.3).
-  DatabaseState state(test::Example4());
-  Result<CtmMaintainer> m = CtmMaintainer::Create(state);
-  EXPECT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(Algorithm5Test, AgreesWithChaseOnStreams) {
@@ -230,8 +252,9 @@ TEST(Algorithm5Test, AgreesWithChaseOnStreams) {
     opt.coverage = 0.6;
     opt.seed = 13;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<CtmMaintainer> m = CtmMaintainer::Create(state);
+    Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
     ASSERT_TRUE(m.ok());
+    ASSERT_TRUE(m->IsCtm());
     std::vector<InsertInstance> stream =
         MakeInsertStream(s, state, 40, 0.4, 17);
     for (const InsertInstance& ins : stream) {
@@ -244,18 +267,17 @@ TEST(Algorithm5Test, AgreesWithChaseOnStreams) {
 }
 
 TEST(Algorithm5Test, AppliedInsertsKeepIndexesInSync) {
+  // A split-free scheme, so every insert goes through Algorithm 5 and
+  // every accepted one through StateKeyIndex::AddTuple.
   DatabaseScheme s = MakeChainScheme(4);
-  DatabaseState initial(s);
-  Result<CtmMaintainer> m = CtmMaintainer::Create(initial);
-  ASSERT_TRUE(m.ok());
-  std::vector<InsertInstance> stream =
-      MakeInsertStream(s, initial, 60, 0.3, 29);
-  for (const InsertInstance& ins : stream) {
-    bool chase_verdict =
-        WouldRemainConsistent(m->state(), ins.rel, ins.tuple);
-    EXPECT_EQ(m->Insert(ins.rel, ins.tuple).ok(), chase_verdict);
-  }
-  EXPECT_TRUE(IsConsistent(m->state()));
+  StateGenOptions opt;
+  opt.entities = 8;
+  opt.seed = 29;
+  DatabaseState initial = MakeConsistentState(s, opt);
+  ASSERT_TRUE(IsSplitFree(s));
+  test::ReplayCounts counts = test::ReplayTwoStreams(initial, 40, 0.3, 29);
+  EXPECT_GT(counts.accepted, 0u);
+  EXPECT_GT(counts.rejected, 0u);
 }
 
 TEST(Algorithm5Test, ProbeCountIndependentOfStateSize) {
@@ -269,14 +291,17 @@ TEST(Algorithm5Test, ProbeCountIndependentOfStateSize) {
     opt.entities = entities;
     opt.seed = 31;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<CtmMaintainer> m = CtmMaintainer::Create(std::move(state), false);
-    ASSERT_TRUE(m.ok());
-    ExtensionStats stats;
     // A fresh tuple probes the same (relation, key) pairs whatever the
     // state contains.
-    PartialTuple probe = m->state().MakeTuple(0, {1000000, 1000001});
+    PartialTuple probe = state.MakeTuple(0, {1000000, 1000001});
+    Result<ShardedMaintainer> m =
+        ShardedMaintainer::Create(std::move(state), 1, false);
+    ASSERT_TRUE(m.ok());
+    // On a split-free block, MaintenanceStats::lookups tallies Algorithm
+    // 5's index probes.
+    MaintenanceStats stats;
     ASSERT_TRUE(m->CheckInsert(0, probe, &stats).ok());
-    (entities == 20u ? probes_small : probes_large) = stats.probes;
+    (entities == 20u ? probes_small : probes_large) = stats.lookups;
   }
   EXPECT_EQ(probes_small, probes_large);
   EXPECT_GT(probes_small, 0u);
@@ -296,8 +321,7 @@ TEST(RejectionPathTest, SplitBlockAlgorithm2Reject) {
   state.mutable_relation(1).Add(Tuple(s, "AC", {a, c}));
   state.mutable_relation(3).Add(Tuple(s, "EB", {e1, b}));
   state.mutable_relation(4).Add(Tuple(s, "EC", {e1, c}));
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(state);
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   EXPECT_FALSE(m->IsCtm());  // the block is split (Theorem 5.5)
   MaintenanceStats stats;
@@ -308,9 +332,9 @@ TEST(RejectionPathTest, SplitBlockAlgorithm2Reject) {
   EXPECT_GT(stats.keys_processed, 0u);
   EXPECT_GT(stats.lookups, 0u);
   // A rejected Insert leaves the maintained state untouched.
-  size_t before = m->state().TupleCount();
+  size_t before = m->sharded_state().TupleCount();
   EXPECT_FALSE(m->Insert(2, Tuple(s, "AE", {a, e})).ok());
-  EXPECT_EQ(m->state().TupleCount(), before);
+  EXPECT_EQ(m->sharded_state().TupleCount(), before);
   EXPECT_TRUE(m->Insert(2, Tuple(s, "AE", {a, e1})).ok());
 }
 
@@ -322,8 +346,7 @@ TEST(RejectionPathTest, SplitFreeBlockAlgorithm5Reject) {
   constexpr Value d = 4, e = 5, f = 6, e2 = 7, g = 8;
   DatabaseState state(s);
   state.Insert("R5", {d, e, f});
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(state);
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   MaintenanceStats stats;
   // D=d already determines E=e; a DEG tuple with E=e2 contradicts it.
@@ -333,9 +356,9 @@ TEST(RejectionPathTest, SplitFreeBlockAlgorithm5Reject) {
   EXPECT_EQ(verdict.status().code(), StatusCode::kInconsistent);
   EXPECT_GT(stats.lookups, 0u);
   EXPECT_EQ(stats.keys_processed, 0u);  // not the Algorithm 2 path
-  size_t before = m->state().TupleCount();
+  size_t before = m->sharded_state().TupleCount();
   EXPECT_FALSE(m->Insert(5, Tuple(s, "DEG", {d, e2, g})).ok());
-  EXPECT_EQ(m->state().TupleCount(), before);
+  EXPECT_EQ(m->sharded_state().TupleCount(), before);
   EXPECT_TRUE(m->Insert(5, Tuple(s, "DEG", {d, e, g})).ok());
 }
 
@@ -350,18 +373,20 @@ TEST(RejectionPathTest, Alg5RejectionProbesIndependentOfStateSize) {
     opt.coverage = 1.0;
     opt.seed = 31;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<CtmMaintainer> m = CtmMaintainer::Create(std::move(state), false);
+    const PartialTuple existing = state.relation(0).tuples()[0];
+    Result<ShardedMaintainer> m =
+        ShardedMaintainer::Create(std::move(state), 1, false);
     ASSERT_TRUE(m.ok());
-    const PartialTuple& existing = m->state().relation(0).tuples()[0];
+    ASSERT_TRUE(m->IsCtm());
     const AttributeId a1 = *s.universe().Find("A1");
     const AttributeId a2 = *s.universe().Find("A2");
     // Same A1 value, contradicting A2: violates the FD A1 -> A2.
     PartialTuple clash(existing.attrs(),
                        {existing.At(a1), existing.At(a2) + 1000000});
-    ExtensionStats stats;
+    MaintenanceStats stats;
     Result<PartialTuple> verdict = m->CheckInsert(0, clash, &stats);
     EXPECT_FALSE(verdict.ok());
-    probes.push_back(stats.probes);
+    probes.push_back(stats.lookups);
   }
   EXPECT_GT(probes[0], 0u);
   EXPECT_EQ(probes[0], probes[1]);
@@ -378,16 +403,16 @@ TEST(RejectionPathTest, Alg2RejectionLookupsIndependentOfStateSize) {
     opt.coverage = 1.0;
     opt.seed = 31;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<KeyEquivalentMaintainer> m =
-        KeyEquivalentMaintainer::Create(std::move(state));
+    // The chain is split-free, so Algorithm 2 is forced here.
+    Alg2Kernel m(state);
     ASSERT_TRUE(m.ok());
-    const PartialTuple& existing = m->state().relation(0).tuples()[0];
+    const PartialTuple& existing = state.relation(0).tuples()[0];
     const AttributeId a1 = *s.universe().Find("A1");
     const AttributeId a2 = *s.universe().Find("A2");
     PartialTuple clash(existing.attrs(),
                        {existing.At(a1), existing.At(a2) + 1000000});
     MaintenanceStats stats;
-    Result<PartialTuple> verdict = m->CheckInsert(0, clash, &stats);
+    Result<PartialTuple> verdict = m.CheckInsert(0, clash, &stats);
     EXPECT_FALSE(verdict.ok());
     EXPECT_EQ(stats.lookups, stats.keys_processed);
     EXPECT_LE(stats.lookups, 5u);
@@ -405,15 +430,15 @@ TEST(MaintainerAgreementTest, Alg2AndAlg5SameVerdicts) {
   opt.entities = 30;
   opt.seed = 41;
   DatabaseState state = MakeConsistentState(s, opt);
-  Result<KeyEquivalentMaintainer> m2 = KeyEquivalentMaintainer::Create(state);
-  Result<CtmMaintainer> m5 = CtmMaintainer::Create(state);
+  Alg2Kernel m2(state);
+  Result<StateKeyIndex> keys = StateKeyIndex::Build(state);
   ASSERT_TRUE(m2.ok());
-  ASSERT_TRUE(m5.ok());
+  ASSERT_TRUE(keys.ok());
   std::vector<InsertInstance> stream =
       MakeInsertStream(s, state, 50, 0.5, 43);
   for (const InsertInstance& ins : stream) {
-    EXPECT_EQ(m2->CheckInsert(ins.rel, ins.tuple).ok(),
-              m5->CheckInsert(ins.rel, ins.tuple).ok());
+    EXPECT_EQ(m2.CheckInsert(ins.rel, ins.tuple).ok(),
+              CheckInsertCtm(s, *keys, ins.rel, ins.tuple).ok());
   }
 }
 

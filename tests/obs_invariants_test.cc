@@ -11,10 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ctm_maintainer.h"
 #include "core/kep.h"
 #include "core/key_equivalent_maintainer.h"
 #include "core/recognition.h"
+#include "core/sharded_maintainer.h"
 #include "engine/scheme_analysis.h"
 #include "obs/export.h"
 #include "tableau/chase.h"
@@ -197,9 +197,11 @@ TEST(ObsInvariantsTest, Alg5RejectionConstantTimeCounters) {
     opt.coverage = 1.0;
     opt.seed = 53;
     DatabaseState state = MakeConsistentState(scheme, opt);
-    Result<CtmMaintainer> m = CtmMaintainer::Create(std::move(state), false);
+    PartialTuple clash = ChainClashTuple(scheme, state);
+    // The chain is one split-free block: the maintainer runs Algorithm 5.
+    Result<ShardedMaintainer> m =
+        ShardedMaintainer::Create(std::move(state), 1, false);
     ASSERT_TRUE(m.ok());
-    PartialTuple clash = ChainClashTuple(scheme, m->state());
     obs::Snapshot delta =
         Measure([&] { EXPECT_FALSE(m->CheckInsert(0, clash).ok()); });
     EXPECT_EQ(DeltaOf(delta, "maintain.alg5.checks"), 1u)
@@ -225,12 +227,17 @@ TEST(ObsInvariantsTest, Alg2RejectionBoundedByPoolKeys) {
     opt.coverage = 1.0;
     opt.seed = 53;
     DatabaseState state = MakeConsistentState(scheme, opt);
-    Result<KeyEquivalentMaintainer> m =
-        KeyEquivalentMaintainer::Create(std::move(state));
-    ASSERT_TRUE(m.ok());
-    PartialTuple clash = ChainClashTuple(scheme, m->state());
-    obs::Snapshot delta =
-        Measure([&] { EXPECT_FALSE(m->CheckInsert(0, clash).ok()); });
+    PartialTuple clash = ChainClashTuple(scheme, state);
+    // Algorithm 2 forced onto the split-free chain: the kernel on the
+    // representative instance, the whole scheme as its pool.
+    Result<RepresentativeIndex> index = RepresentativeIndex::Build(state);
+    ASSERT_TRUE(index.ok());
+    std::vector<size_t> pool(scheme.size());
+    for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
+    obs::Snapshot delta = Measure([&] {
+      EXPECT_FALSE(
+          CheckInsertKeyEquivalent(scheme, pool, *index, 0, clash).ok());
+    });
     EXPECT_EQ(DeltaOf(delta, "maintain.alg2.checks"), 1u)
         << "entities=" << entities;
     EXPECT_EQ(DeltaOf(delta, "maintain.alg2.rejects"), 1u)

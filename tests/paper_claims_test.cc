@@ -4,10 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/augmentation.h"
-#include "core/block_maintainer.h"
 #include "core/classify.h"
 #include "core/ctm_maintainer.h"
-#include "core/key_equivalent_maintainer.h"
+#include "core/sharded_maintainer.h"
 #include "core/split.h"
 #include "core/total_projection.h"
 #include "relation/weak_instance.h"
@@ -22,8 +21,8 @@ using test::Tuple;
 
 // Example 5 / Theorem 3.4: on a split key-equivalent scheme, the raw-state
 // key-probe procedure of Algorithm 5 is WRONG — it accepts an insert the
-// chase rejects. (This is exactly why CtmMaintainer::Create refuses split
-// schemes, and why the paper needs Algorithm 2's representative instance.)
+// chase rejects. (This is exactly why BlockShard runs split blocks on
+// Algorithm 2's representative instance, as the paper does.)
 TEST(PaperClaimsTest, Example5SplitDefeatsRawKeyProbes) {
   DatabaseScheme s = test::Example4();
   constexpr Value a = 1, b = 2, c = 3, e = 10, e2 = 11, eprime = 20;
@@ -38,11 +37,12 @@ TEST(PaperClaimsTest, Example5SplitDefeatsRawKeyProbes) {
   // Ground truth: inconsistent (the representative instance has
   // <a,b,c,e> via E -> B/C, BC -> D, D -> A, and A -> E forces e).
   EXPECT_FALSE(WouldRemainConsistent(state, 2, insert));
-  // Algorithm 2 (representative-instance lookups): correct.
-  Result<KeyEquivalentMaintainer> alg2 =
-      KeyEquivalentMaintainer::Create(state);
-  ASSERT_TRUE(alg2.ok());
-  EXPECT_FALSE(alg2->CheckInsert(2, insert).ok());
+  // The maintainer runs Algorithm 2 (representative-instance lookups) on
+  // the split block: correct.
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
+  ASSERT_TRUE(m.ok());
+  ASSERT_FALSE(m->IsCtm());
+  EXPECT_FALSE(m->CheckInsert(2, insert).ok());
   // Algorithm 5's probes applied anyway (the scheme is split, so this is
   // outside its precondition): wrongly accepts.
   Result<StateKeyIndex> idx = StateKeyIndex::Build(state);

@@ -5,20 +5,22 @@
 //   P1  generated schemes validate, and class flags are coherent
 //       (independent ⇒ accepted; key-equivalent ⇒ BCNF ∧ accepted;
 //        accepted ∧ split-free ⇔ ctm).
-//   P2  maintenance agreement: Algorithm 2 / Algorithm 5 (when applicable)
-//       / the block maintainer == the chase, on insert streams.
+//   P2  maintenance agreement: the sharded maintainer (Algorithm 5 or 2
+//       per block) and, on key-equivalent schemes, Algorithm 2 over the
+//       whole scheme == the chase, on insert streams.
 //   P3  query agreement: Theorem 4.1 expressions == [X] by chase.
 //   P4  representative index == chase representative instance.
 //   P5  split analysis: Lemma 3.8 == the definitional search.
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
-#include "core/block_maintainer.h"
 #include "core/classify.h"
-#include "core/ctm_maintainer.h"
 #include "core/key_equivalence.h"
 #include "core/key_equivalent_maintainer.h"
 #include "core/representative_index.h"
+#include "core/sharded_maintainer.h"
 #include "core/split.h"
 #include "core/total_projection.h"
 #include "hypergraph/hypergraph.h"
@@ -157,33 +159,31 @@ TEST_P(PropertySweep, P2_MaintenanceAgreesWithChase) {
   if (!recognition.accepted) GTEST_SKIP() << "outside the class";
   DatabaseState state = MakeState(15);
   ASSERT_TRUE(IsConsistent(state));
-  Result<IndependenceReducibleMaintainer> block =
-      IndependenceReducibleMaintainer::Create(state);
-  ASSERT_TRUE(block.ok());
-  std::optional<KeyEquivalentMaintainer> alg2;
+  // The maintainer runs Algorithm 5 or 2 per block (Theorem 5.5); on a
+  // key-equivalent scheme Algorithm 2 is also run over the whole scheme,
+  // split-free or not.
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
+  ASSERT_TRUE(m.ok());
+  std::optional<RepresentativeIndex> rep;
+  std::vector<size_t> pool(scheme_.size());
+  for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
   if (IsKeyEquivalent(scheme_)) {
-    Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(state);
-    ASSERT_TRUE(m.ok());
-    alg2.emplace(std::move(m).value());
-  }
-  std::optional<CtmMaintainer> alg5;
-  if (IsKeyEquivalent(scheme_) && IsSplitFree(scheme_)) {
-    Result<CtmMaintainer> m = CtmMaintainer::Create(state);
-    ASSERT_TRUE(m.ok());
-    alg5.emplace(std::move(m).value());
+    Result<RepresentativeIndex> index = RepresentativeIndex::Build(state);
+    ASSERT_TRUE(index.ok());
+    rep.emplace(std::move(index).value());
   }
   std::vector<InsertInstance> stream =
       MakeInsertStream(scheme_, state, 25, 0.4, GetParam().seed + 7);
   for (const InsertInstance& ins : stream) {
     bool truth = WouldRemainConsistent(state, ins.rel, ins.tuple);
     EXPECT_EQ(truth, ins.expected_consistent);
-    EXPECT_EQ(block->CheckInsert(ins.rel, ins.tuple).ok(), truth)
+    EXPECT_EQ(m->CheckInsert(ins.rel, ins.tuple).ok(), truth)
         << ins.tuple.ToString(scheme_.universe());
-    if (alg2.has_value()) {
-      EXPECT_EQ(alg2->CheckInsert(ins.rel, ins.tuple).ok(), truth);
-    }
-    if (alg5.has_value()) {
-      EXPECT_EQ(alg5->CheckInsert(ins.rel, ins.tuple).ok(), truth);
+    if (rep.has_value()) {
+      EXPECT_EQ(CheckInsertKeyEquivalent(scheme_, pool, *rep, ins.rel,
+                                         ins.tuple)
+                    .ok(),
+                truth);
     }
   }
 }

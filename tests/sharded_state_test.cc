@@ -1,11 +1,14 @@
 // Property battery for the block-sharded state engine (ShardedState /
-// ShardedMaintainer): the independence-reducible partition really is a
+// ShardedMaintainer), the library's one stateful maintenance runtime and
+// one plan cache: the independence-reducible partition really is a
 // partition with no key-equivalence crossing blocks, Theorem 4.2's
 // local-to-global argument replays on the paper's worked examples and the
-// repro corpus, the router/materialize round trip is lossless, cross-block
-// reads fan out only when a plan spans shards, and the parallel batch path
-// is bit-identical to the serial one at any job count (the invariant the
-// CI TSan job drives at --jobs 8).
+// repro corpus, applied streams agree with the chase of the accumulated
+// state, the router/materialize round trip is lossless, plans are cached
+// and answer [X] like the chase, cross-block reads fan out only when a
+// plan spans shards, and the parallel batch path is bit-identical to the
+// serial one at any job count (the invariant the CI TSan job drives at
+// --jobs 8).
 
 #include <atomic>
 #include <map>
@@ -16,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/block_maintainer.h"
 #include "core/recognition.h"
 #include "core/sharded_maintainer.h"
 #include "core/total_projection.h"
@@ -24,6 +26,7 @@
 #include "oracle/corpus.h"
 #include "oracle/naive_kep.h"
 #include "relation/weak_instance.h"
+#include "tests/stream_replay.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -163,8 +166,8 @@ TEST(ShardedStateTest, Theorem42LocalToGlobalOnExamples) {
 
 // The same local-to-global replay over the committed repro corpus: every
 // anchor scheme the fuzzer ever shrank that is independence-reducible must
-// shard, stay consistent under a validated stream, and agree with the
-// single-shard oracle verdict for verdict.
+// shard, stay consistent under validated streams, and agree verdict for
+// verdict with the chase of the accumulated state.
 TEST(ShardedStateTest, Theorem42AndOracleAgreementOnCorpusAnchors) {
   Result<std::vector<oracle::CorpusEntry>> corpus =
       oracle::LoadCorpus(IRD_CORPUS_DIR);
@@ -179,20 +182,8 @@ TEST(ShardedStateTest, Theorem42AndOracleAgreementOnCorpusAnchors) {
     opt.coverage = 0.7;
     opt.seed = 23;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<ShardedMaintainer> sharded = ShardedMaintainer::Create(state);
-    Result<IndependenceReducibleMaintainer> single =
-        IndependenceReducibleMaintainer::Create(state);
-    ASSERT_EQ(sharded.ok(), single.ok()) << entry.filename;
-    if (!sharded.ok()) continue;
-    for (const InsertInstance& ins : MakeInsertStream(s, state, 20, 0.4, 29)) {
-      EXPECT_EQ(sharded->Insert(ins.rel, ins.tuple).ok(),
-                single->Insert(ins.rel, ins.tuple).ok())
-          << entry.filename;
-    }
-    EXPECT_EQ(StateToString(sharded->Materialize()),
-              StateToString(single->state()))
-        << entry.filename;
-    EXPECT_TRUE(IsConsistent(sharded->Materialize())) << entry.filename;
+    SCOPED_TRACE(entry.filename);
+    test::ReplayTwoStreams(state, 10, 0.4, 29);
   }
   EXPECT_GT(sharded_anchors, 0u)
       << "corpus has no independence-reducible anchors to replay";
@@ -327,29 +318,24 @@ TEST(ShardedStateTest, InsertStormIdenticalAtJobs1AndJobs8) {
 #endif
 }
 
-// A storm routed through Insert (no batch) interleaved across blocks also
-// lands on the single-shard oracle's exact state — the serial-equivalence
-// half of the sharded-vs-single contract, on a multi-block generator
-// scheme.
-TEST(ShardedStateTest, InterleavedInsertsMatchSingleShardOracle) {
-  DatabaseScheme s = MakeBlockScheme(3, 4);
-  StateGenOptions opt;
-  opt.entities = 10;
-  opt.coverage = 0.5;
-  opt.seed = 43;
-  DatabaseState state = MakeConsistentState(s, opt);
-  Result<ShardedMaintainer> sharded = ShardedMaintainer::Create(state);
-  Result<IndependenceReducibleMaintainer> single =
-      IndependenceReducibleMaintainer::Create(state);
-  ASSERT_TRUE(sharded.ok());
-  ASSERT_TRUE(single.ok());
-  EXPECT_EQ(sharded->IsCtm(), single->IsCtm());
-  for (const InsertInstance& ins : MakeInsertStream(s, state, 60, 0.35, 47)) {
-    EXPECT_EQ(sharded->Insert(ins.rel, ins.tuple).ok(),
-              single->Insert(ins.rel, ins.tuple).ok());
+// Streams routed through Insert (no batch) and interleaved across blocks
+// agree verdict for verdict with the chase of the accumulated state, and
+// land on its exact tuple set. The second stream is drawn from the
+// accumulated state, so it conflicts with tuples the first one inserted —
+// which only an Apply that keeps every block's index current rejects.
+TEST(ShardedStateTest, AppliedStreamsMatchTheChase) {
+  for (auto [blocks, width] : {std::pair<size_t, size_t>{2, 3}, {3, 4}}) {
+    DatabaseScheme s = MakeBlockScheme(blocks, width);
+    StateGenOptions opt;
+    opt.entities = 10;
+    opt.coverage = 0.5;
+    opt.seed = 43;
+    DatabaseState state = MakeConsistentState(s, opt);
+    SCOPED_TRACE(s.ToString());
+    test::ReplayCounts counts = test::ReplayTwoStreams(state, 40, 0.35, 47);
+    EXPECT_GT(counts.accepted, 0u);
+    EXPECT_GT(counts.rejected, 0u);
   }
-  EXPECT_EQ(StateToString(sharded->Materialize()),
-            StateToString(single->state()));
 }
 
 // Concurrent InsertBatch callers are serialized on the maintainer's
@@ -428,8 +414,7 @@ TEST(ShardedStateTest, ConcurrentInsertBatchesSerializeOnTheMaintainer) {
 // The Theorem 4.1 plan cache is the one thing the TotalProjection read
 // path mutates; since it went behind plans_mu_, concurrent readers on a
 // quiescent state are safe and must agree with the serial answer. Before
-// the lock, eight threads hitting a cold cache raced on the unordered_map
-// (the exact shape ird_serve's cross-request cache will hit).
+// the lock, eight threads hitting a cold cache raced on the unordered_map.
 TEST(ShardedStateTest, ConcurrentTotalProjectionsShareThePlanCache) {
   DatabaseScheme s = test::Example11();
   StateGenOptions opt;
@@ -467,6 +452,157 @@ TEST(ShardedStateTest, ConcurrentTotalProjectionsShareThePlanCache) {
     });
   }
   for (std::thread& t : threads) t.join();
+}
+
+// --- Whole-scheme behaviour (Theorems 4.2 and 5.5) --------------------------
+
+TEST(ShardedStateTest, RejectsNonReducibleScheme) {
+  Result<ShardedMaintainer> m =
+      ShardedMaintainer::Create(DatabaseState(test::Example2()));
+  EXPECT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardedStateTest, Example1UniversityWorkflow) {
+  // The motivating Example 1: the university database is ctm; exercise a
+  // realistic insert sequence.
+  DatabaseScheme s = test::Example1R();
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(DatabaseState(s));
+  ASSERT_TRUE(m.ok());
+  EXPECT_TRUE(m->IsCtm());
+  constexpr Value h1 = 1, r1 = 2, c1 = 3, t1 = 4, s1 = 5, g1 = 6, t2 = 7;
+  // course c1 taught by t1 in room r1 at hour h1.
+  EXPECT_TRUE(m->Insert(0, Tuple(s, "HRC", {h1, r1, c1})).ok());
+  EXPECT_TRUE(m->Insert(1, Tuple(s, "HTR", {h1, t1, r1})).ok());
+  EXPECT_TRUE(m->Insert(2, Tuple(s, "HTC", {h1, t1, c1})).ok());
+  // student s1 takes c1 with grade g1; s1 sits in r1 at h1.
+  EXPECT_TRUE(m->Insert(3, Tuple(s, "CSG", {c1, s1, g1})).ok());
+  EXPECT_TRUE(m->Insert(4, Tuple(s, "HSR", {h1, s1, r1})).ok());
+  // A second teacher in the same room at the same hour: violates HR -> T.
+  EXPECT_FALSE(m->Insert(1, Tuple(s, "HTR", {h1, t2, r1})).ok());
+  // The final state is consistent.
+  EXPECT_TRUE(IsConsistent(m->Materialize()));
+}
+
+TEST(ShardedStateTest, CtmFlagFollowsTheorem55) {
+  {
+    auto m = ShardedMaintainer::Create(DatabaseState(test::Example1R()));
+    ASSERT_TRUE(m.ok());
+    EXPECT_TRUE(m->IsCtm());
+  }
+  {
+    // Example 4's scheme: one split block -> not ctm, but maintainable.
+    auto m = ShardedMaintainer::Create(DatabaseState(test::Example4()));
+    ASSERT_TRUE(m.ok());
+    EXPECT_FALSE(m->IsCtm());
+  }
+}
+
+TEST(ShardedStateTest, InsertsOnlyTouchTheRightBlock) {
+  // An insert into block 2 must not be affected by block-1 contents.
+  DatabaseScheme s = test::Example11();
+  DatabaseState state(s);
+  state.Insert("R1", {1, 2});
+  state.Insert("R4", {1, 9});  // A=1 D=9
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(std::move(state));
+  ASSERT_TRUE(m.ok());
+  // Block 2 (DEF/DEG): D=9 already exists in block 1's R4, but block 2 has
+  // no tuples, so any D-value is insertable there.
+  EXPECT_TRUE(m->Insert(4, Tuple(s, "DEF", {9, 3, 4})).ok());
+  // Now D=9 determines E=3: a conflicting DEG insert fails.
+  EXPECT_FALSE(m->Insert(5, Tuple(s, "DEG", {9, 7, 5})).ok());
+  EXPECT_TRUE(m->Insert(5, Tuple(s, "DEG", {9, 3, 5})).ok());
+}
+
+TEST(ShardedStateTest, CheckInsertAgreesWithChaseOnStreams) {
+  std::vector<DatabaseScheme> schemes = {
+      test::Example1R(), test::Example11(), MakeBlockScheme(3, 3),
+      MakeIndependentScheme(4), MakeSplitScheme(2)};
+  for (const DatabaseScheme& s : schemes) {
+    StateGenOptions opt;
+    opt.entities = 20;
+    opt.coverage = 0.6;
+    opt.seed = 71;
+    DatabaseState state = MakeConsistentState(s, opt);
+    Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
+    ASSERT_TRUE(m.ok()) << s.ToString();
+    std::vector<InsertInstance> stream =
+        MakeInsertStream(s, state, 40, 0.4, 73);
+    for (const InsertInstance& ins : stream) {
+      bool chase_verdict = WouldRemainConsistent(state, ins.rel, ins.tuple);
+      EXPECT_EQ(m->CheckInsert(ins.rel, ins.tuple).ok(), chase_verdict)
+          << s.relation(ins.rel).name << " "
+          << ins.tuple.ToString(s.universe());
+    }
+  }
+}
+
+TEST(ShardedStateTest, Section42LocalToGlobalArgument) {
+  // The §4.2 claim itself: if every block substate is consistent, the
+  // whole state is. Exercise with cross-block value sharing.
+  DatabaseScheme s = test::Example11();
+  DatabaseState state(s);
+  constexpr Value a = 1, b = 2, c = 3, d = 4, e = 5, f = 6, g = 7;
+  state.Insert("R1", {a, b});
+  state.Insert("R2", {b, c});
+  state.Insert("R3", {a, c});
+  state.Insert("R4", {a, d});
+  state.mutable_relation(4).Add(Tuple(s, "DEF", {d, e, f}));
+  state.mutable_relation(5).Add(Tuple(s, "DEG", {d, e, g}));
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
+  ASSERT_TRUE(m.ok());
+  EXPECT_TRUE(IsConsistent(state));
+}
+
+// --- The plan cache (Theorem 4.1) -------------------------------------------
+
+TEST(ShardedStateTest, PlansAreCached) {
+  DatabaseScheme s = test::Example1R();
+  Result<ShardedState> sharded = ShardedState::Create(DatabaseState(s));
+  ASSERT_TRUE(sharded.ok());
+  AttributeSet hsc = Attrs(s, "HSC");
+  ExprPtr first = sharded->PlanFor(hsc);
+  ASSERT_NE(first, nullptr);
+  // The second lookup returns the cached plan object itself.
+  EXPECT_EQ(sharded->PlanFor(hsc).get(), first.get());
+  ExprPtr other = sharded->PlanFor(Attrs(s, "TC"));
+  ASSERT_NE(other, nullptr);
+  EXPECT_NE(other.get(), first.get());
+  EXPECT_EQ(sharded->PlanFor(Attrs(s, "TC")).get(), other.get());
+}
+
+TEST(ShardedStateTest, UncoverableProjectionIsEmpty) {
+  DatabaseScheme s = DatabaseScheme::Create();
+  s.AddRelation("R1", "AB", {"A"});
+  s.AddRelation("R2", "CD", {"C"});
+  DatabaseState state(s);
+  state.Insert("R1", {1, 2});
+  state.Insert("R2", {3, 4});
+  Result<ShardedState> sharded = ShardedState::Create(state);
+  ASSERT_TRUE(sharded.ok());
+  EXPECT_EQ(sharded->PlanFor(Attrs(s, "AC")), nullptr);
+  EXPECT_TRUE(sharded->TotalProjection(Attrs(s, "AC")).empty());
+}
+
+TEST(ShardedStateTest, ProjectionsMatchChaseAcrossStatesAndTargets) {
+  std::vector<DatabaseScheme> schemes = {test::Example1R(), test::Example11(),
+                                         MakeBlockScheme(2, 3)};
+  for (const DatabaseScheme& s : schemes) {
+    for (uint64_t seed : {3u, 4u}) {
+      StateGenOptions opt;
+      opt.entities = 12;
+      opt.seed = seed;
+      DatabaseState state = MakeConsistentState(s, opt);
+      Result<ShardedState> sharded = ShardedState::Create(state);
+      ASSERT_TRUE(sharded.ok());
+      for (const RelationScheme& r : s.relations()) {
+        PartialRelation answer = sharded->TotalProjection(r.attrs);
+        Result<PartialRelation> chase = TotalProjectionByChase(state, r.attrs);
+        ASSERT_TRUE(chase.ok());
+        EXPECT_TRUE(answer.SetEquals(*chase)) << r.name;
+      }
+    }
+  }
 }
 
 }  // namespace

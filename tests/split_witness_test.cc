@@ -3,8 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ctm_maintainer.h"
-#include "core/key_equivalent_maintainer.h"
+#include "core/sharded_maintainer.h"
 #include "core/split.h"
 #include "core/split_witness.h"
 #include "relation/weak_instance.h"
@@ -37,11 +36,12 @@ void VerifyWitness(const DatabaseScheme& s, const SplitWitness& w) {
   }
   EXPECT_TRUE(WouldRemainConsistent(without_cover, w.insert_rel, w.insert))
       << s.ToString();
-  // Algorithm 2 (correct for every key-equivalent scheme) rejects u.
-  Result<KeyEquivalentMaintainer> alg2 =
-      KeyEquivalentMaintainer::Create(w.state);
-  ASSERT_TRUE(alg2.ok());
-  EXPECT_FALSE(alg2->CheckInsert(w.insert_rel, w.insert).ok());
+  // The maintainer rejects u: a split scheme's block runs Algorithm 2
+  // (correct for every key-equivalent scheme).
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(w.state);
+  ASSERT_TRUE(m.ok());
+  EXPECT_FALSE(m->IsCtm());
+  EXPECT_FALSE(m->CheckInsert(w.insert_rel, w.insert).ok());
 }
 
 TEST(SplitWitnessTest, Example4) {
