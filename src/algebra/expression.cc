@@ -1,6 +1,10 @@
 #include "algebra/expression.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
+#include <limits>
+
+#include "obs/obs.h"
 
 namespace ird {
 
@@ -109,6 +113,93 @@ std::string Expression::ToString(const DatabaseScheme& scheme) const {
   return "?";
 }
 
+namespace {
+
+constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+
+using Relations = std::vector<const PartialRelation*>;
+
+// Evaluates `expr`, reading base relations in place: a kBase node returns
+// the borrowed relation itself; any other node fills *storage and returns
+// it. Each node flushes its counters once.
+const PartialRelation& EvaluateNode(const Expression& expr,
+                                    const Relations& relations,
+                                    PartialRelation* storage) {
+  switch (expr.kind()) {
+    case Expression::Kind::kBase: {
+      IRD_CHECK(expr.relation_index() < relations.size());
+      const PartialRelation* base = relations[expr.relation_index()];
+      IRD_CHECK_MSG(base != nullptr, "plan reads a relation not provided");
+      return *base;
+    }
+    case Expression::Kind::kProject: {
+      PartialRelation child_storage;
+      const PartialRelation& child =
+          EvaluateNode(*expr.children()[0], relations, &child_storage);
+      *storage = PartialRelation(expr.output_attrs());
+      PartialTuple row;
+      for (const PartialTuple& t : child.tuples()) {
+        t.RestrictInto(expr.output_attrs(), &row);
+        storage->AddUnique(row);
+      }
+      break;
+    }
+    case Expression::Kind::kJoin: {
+      PartialRelation first_storage;
+      const PartialRelation* acc =
+          &EvaluateNode(*expr.children()[0], relations, &first_storage);
+      size_t build_rows = 0;
+      size_t probe_rows = 0;
+      for (size_t i = 1; i < expr.children().size(); ++i) {
+        PartialRelation child_storage;
+        const PartialRelation& child =
+            EvaluateNode(*expr.children()[i], relations, &child_storage);
+        // NaturalJoin builds on the smaller side and probes with the other.
+        build_rows += std::min(acc->size(), child.size());
+        probe_rows += std::max(acc->size(), child.size());
+        *storage = NaturalJoin(*acc, child);
+        acc = storage;
+      }
+      IRD_COUNT_ADD(algebra.join.build_rows, build_rows);
+      IRD_COUNT_ADD(algebra.join.probe_rows, probe_rows);
+      break;
+    }
+    case Expression::Kind::kSelect: {
+      PartialRelation child_storage;
+      const PartialRelation& child =
+          EvaluateNode(*expr.children()[0], relations, &child_storage);
+      *storage = PartialRelation(expr.output_attrs());
+      for (const PartialTuple& t : child.tuples()) {
+        bool match = true;
+        for (const EqualityAtom& atom : expr.formula()) {
+          if (t.At(atom.attr) != atom.value) {
+            match = false;
+            break;
+          }
+        }
+        if (match) storage->Add(t);
+      }
+      break;
+    }
+    case Expression::Kind::kUnion: {
+      *storage = PartialRelation(expr.output_attrs());
+      for (const ExprPtr& c : expr.children()) {
+        PartialRelation child_storage;
+        const PartialRelation& child =
+            EvaluateNode(*c, relations, &child_storage);
+        for (const PartialTuple& t : child.tuples()) {
+          storage->AddUnique(t);
+        }
+      }
+      break;
+    }
+  }
+  IRD_COUNT_ADD(algebra.rows_materialized, storage->size());
+  return *storage;
+}
+
+}  // namespace
+
 PartialRelation NaturalJoin(const PartialRelation& left,
                             const PartialRelation& right) {
   AttributeSet shared = left.attrs().Intersect(right.attrs());
@@ -116,16 +207,32 @@ PartialRelation NaturalJoin(const PartialRelation& left,
   // Build on the smaller side, probe with the larger.
   const PartialRelation& build = left.size() <= right.size() ? left : right;
   const PartialRelation& probe = left.size() <= right.size() ? right : left;
-  std::unordered_map<size_t, std::vector<size_t>> index;
-  index.reserve(build.size());
-  for (size_t i = 0; i < build.size(); ++i) {
-    index[build.tuples()[i].Restrict(shared).Hash()].push_back(i);
+  // The build rows chained per shared-attribute hash in a flat
+  // open-addressing table (linear probing, load <= 1/2): head[slot] is the
+  // first row of one hash's chain and next[i] the row after i. Built back
+  // to front, so every chain runs in row order.
+  const size_t n = build.size();
+  std::vector<uint64_t> hashes(n);
+  std::vector<uint32_t> next(n, kNoRow);
+  std::vector<uint32_t> head(std::bit_ceil(std::max<size_t>(16, 2 * n)),
+                             kNoRow);
+  const size_t mask = head.size() - 1;
+  const int shift = 64 - std::countr_zero(head.size());
+  auto chain = [&](uint64_t h) -> uint32_t& {
+    size_t slot = (h * 0x9e3779b97f4a7c15ull) >> shift;
+    while (head[slot] != kNoRow && hashes[head[slot]] != h) {
+      slot = (slot + 1) & mask;
+    }
+    return head[slot];
+  };
+  for (size_t i = n; i-- > 0;) {
+    hashes[i] = build.tuples()[i].HashOn(shared);
+    uint32_t& first = chain(hashes[i]);
+    next[i] = first;
+    first = static_cast<uint32_t>(i);
   }
   for (const PartialTuple& p : probe.tuples()) {
-    size_t h = p.Restrict(shared).Hash();
-    auto it = index.find(h);
-    if (it == index.end()) continue;
-    for (size_t i : it->second) {
+    for (uint32_t i = chain(p.HashOn(shared)); i != kNoRow; i = next[i]) {
       const PartialTuple& b = build.tuples()[i];
       if (p.AgreesOn(b, shared)) {
         std::optional<PartialTuple> joined = p.Join(b);
@@ -137,55 +244,20 @@ PartialRelation NaturalJoin(const PartialRelation& left,
   return out;
 }
 
+PartialRelation Evaluate(const Expression& expr, const Relations& relations) {
+  PartialRelation storage;
+  const PartialRelation& out = EvaluateNode(expr, relations, &storage);
+  if (&out != &storage) return out;  // a bare base relation: copied once
+  return storage;
+}
+
 PartialRelation Evaluate(const Expression& expr, const DatabaseState& state) {
-  switch (expr.kind()) {
-    case Expression::Kind::kBase: {
-      IRD_CHECK(expr.relation_index() < state.relation_count());
-      return state.relation(expr.relation_index());
-    }
-    case Expression::Kind::kProject: {
-      PartialRelation child = Evaluate(*expr.children()[0], state);
-      PartialRelation out(expr.output_attrs());
-      for (const PartialTuple& t : child.tuples()) {
-        out.AddUnique(t.Restrict(expr.output_attrs()));
-      }
-      return out;
-    }
-    case Expression::Kind::kJoin: {
-      PartialRelation acc = Evaluate(*expr.children()[0], state);
-      for (size_t i = 1; i < expr.children().size(); ++i) {
-        acc = NaturalJoin(acc, Evaluate(*expr.children()[i], state));
-      }
-      return acc;
-    }
-    case Expression::Kind::kSelect: {
-      PartialRelation child = Evaluate(*expr.children()[0], state);
-      PartialRelation out(expr.output_attrs());
-      for (const PartialTuple& t : child.tuples()) {
-        bool match = true;
-        for (const EqualityAtom& atom : expr.formula()) {
-          if (t.At(atom.attr) != atom.value) {
-            match = false;
-            break;
-          }
-        }
-        if (match) out.Add(t);
-      }
-      return out;
-    }
-    case Expression::Kind::kUnion: {
-      PartialRelation out(expr.output_attrs());
-      for (const ExprPtr& c : expr.children()) {
-        PartialRelation child = Evaluate(*c, state);
-        for (const PartialTuple& t : child.tuples()) {
-          out.AddUnique(t);
-        }
-      }
-      return out;
-    }
+  Relations relations;
+  relations.reserve(state.relation_count());
+  for (const PartialRelation& r : state.relations()) {
+    relations.push_back(&r);
   }
-  IRD_CHECK(false);
-  return PartialRelation();
+  return Evaluate(expr, relations);
 }
 
 }  // namespace ird

@@ -5,7 +5,7 @@
 // §2.7; unions of projections of joins of lossless subsets, §3.1).
 //
 // Expressions are immutable trees shared via shared_ptr; evaluation is
-// hash-join based.
+// hash-join based and reads base relations in place.
 
 #ifndef IRD_ALGEBRA_EXPRESSION_H_
 #define IRD_ALGEBRA_EXPRESSION_H_
@@ -70,8 +70,15 @@ class Expression {
   std::vector<EqualityAtom> formula_;
 };
 
-// Evaluates `expr` against `state`. All tuples in a state are total, so
-// projection and restricted projection coincide here.
+// Evaluates `expr` against base relations read in place: relation i of
+// the plan is *relations[i], which must be non-null for every relation the
+// expression reads (the others may be null). No base relation is copied,
+// except when `expr` is itself a bare base relation. All tuples in a state
+// are total, so projection and restricted projection coincide here.
+PartialRelation Evaluate(const Expression& expr,
+                         const std::vector<const PartialRelation*>& relations);
+
+// Evaluates `expr` against `state`'s relations, borrowed as above.
 PartialRelation Evaluate(const Expression& expr, const DatabaseState& state);
 
 // Natural join of two relations (hash join on the shared attributes).

@@ -53,7 +53,7 @@ Result<PartialTuple> BlockShard::CheckInsert(size_t rel,
 }
 
 Status BlockShard::Apply(size_t rel, const PartialTuple& tuple) {
-  substate_.mutable_relation(rel).AddUnique(tuple);
+  if (!substate_.mutable_relation(rel).AddUnique(tuple)) return OkStatus();
   if (split_free_) {
     return key_index_->AddTuple(rel, tuple);
   }

@@ -54,7 +54,9 @@ class BlockShard {
                                    MaintainScratch* scratch = nullptr) const;
 
   // Applies an insert this shard has already validated: updates the owned
-  // substate and whichever index drives the block's algorithm.
+  // substate and whichever index drives the block's algorithm. A tuple
+  // the substate already holds is already indexed, so a re-insert stops
+  // at the relation's dedup check.
   Status Apply(size_t rel, const PartialTuple& tuple);
 
   // CheckInsert + Apply.

@@ -100,38 +100,18 @@ PartialRelation ShardedState::TotalProjection(const AttributeSet& x) {
   ExprPtr plan = PlanFor(x);
   if (plan == nullptr) return PartialRelation(x);
 
-  // Route the plan: which shards do its base relations live in?
+  // Route the plan: each base relation is read in place from the shard
+  // that owns it, and no other relation is visible to the evaluation.
   std::vector<size_t> bases;
   CollectBaseRelations(*plan, &bases);
-  std::vector<bool> touched(shards_.size(), false);
-  size_t shard_fanout = 0;
+  std::vector<const PartialRelation*> relations(scheme_.size(), nullptr);
+  bool cross_block = false;
   for (size_t rel : bases) {
-    size_t b = rel_to_block_[rel];
-    if (!touched[b]) {
-      touched[b] = true;
-      ++shard_fanout;
-    }
+    relations[rel] = &shards_[rel_to_block_[rel]].substate().relation(rel);
+    cross_block |= rel_to_block_[rel] != rel_to_block_[bases.front()];
   }
-  if (shard_fanout <= 1) {
-    // Block-local read: evaluate against the owning shard alone. The plan
-    // only dereferences its base relations, so no other shard's tuples can
-    // influence the answer.
-    const DatabaseState& local =
-        bases.empty() ? shards_[0].substate()
-                      : shards_[rel_to_block_[bases[0]]].substate();
-    return Evaluate(*plan, local);
-  }
-  // Cross-block read: fan out to exactly the shards the plan references
-  // and evaluate against their merged view.
-  IRD_COUNT(shard.cross_block_queries);
-  DatabaseState merged(scheme_);
-  for (size_t b = 0; b < shards_.size(); ++b) {
-    if (!touched[b]) continue;
-    for (size_t rel : shards_[b].pool()) {
-      merged.SetRelation(rel, shards_[b].substate().relation(rel));
-    }
-  }
-  return Evaluate(*plan, merged);
+  if (cross_block) IRD_COUNT(shard.cross_block_queries);
+  return Evaluate(*plan, relations);
 }
 
 }  // namespace ird

@@ -2,8 +2,8 @@
 // independence-reducible partition, one BlockShard per block. The router
 // maps each relation to the shard that owns it; writes are block-local by
 // Theorem 4.2, and cross-block reads (total projection) are answered by
-// fanning out to the shards a plan touches and merging their views. The
-// plan cache below is the library's only one.
+// fanning out to the shards a plan touches and reading their relations in
+// place. The plan cache below is the library's only one.
 
 #ifndef IRD_CORE_SHARDED_STATE_H_
 #define IRD_CORE_SHARDED_STATE_H_
@@ -61,12 +61,12 @@ class ShardedState {
   DatabaseState Materialize() const;
 
   // The Theorem 4.1 bounded total projection [X], answered through the
-  // shards: the cached plan's base relations are collected, and when they
-  // all live in one shard the expression is evaluated against that shard's
-  // substate alone (no other shard is touched); otherwise the read is a
-  // cross-block query (`shard.cross_block_queries`) evaluated against the
-  // fan-out/merge of exactly the shards the plan references. Returns the
-  // empty relation on X no lossless subset of the induced scheme covers.
+  // shards: the cached plan is evaluated over its base relations, each
+  // read in place from the shard that owns it, so no shard the plan does
+  // not reference is touched and nothing is copied into a merged state. A
+  // plan whose relations span several shards is a cross-block query
+  // (`shard.cross_block_queries`). Returns the empty relation on X no
+  // lossless subset of the induced scheme covers.
   //
   // Safe to call concurrently with other TotalProjection/PlanFor calls:
   // the plan cache is the only state this read path mutates, and it is

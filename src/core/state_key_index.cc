@@ -4,19 +4,6 @@
 
 namespace ird {
 
-namespace {
-
-uint64_t HashOn(const PartialTuple& tuple, const AttributeSet& key) {
-  uint64_t h = 1469598103934665603ull;
-  key.ForEach([&](AttributeId a) {
-    h ^= static_cast<uint64_t>(tuple.At(a)) + 0x9e3779b97f4a7c15ull +
-         (h << 6) + (h >> 2);
-  });
-  return h;
-}
-
-}  // namespace
-
 Result<StateKeyIndex> StateKeyIndex::Build(const DatabaseState& state,
                                            std::vector<size_t> pool) {
   if (pool.empty()) {
@@ -55,7 +42,7 @@ const PartialTuple* StateKeyIndex::Probe(size_t rel, const AttributeSet& key,
   IRD_CHECK_MSG(pr != nullptr, "Probe on a relation outside the pool");
   for (const PerKey& pk : pr->keys) {
     if (pk.key != key) continue;
-    auto it = pk.map.find(HashOn(tuple, key));
+    auto it = pk.map.find(tuple.HashOn(key));
     if (it == pk.map.end()) return nullptr;
     for (const PartialTuple& candidate : it->second) {
       if (candidate.AgreesOn(tuple, key)) return &candidate;
@@ -78,7 +65,7 @@ Status StateKeyIndex::AddTuple(size_t rel, const PartialTuple& tuple) {
   // Verify against every key first, then install, so a failure leaves the
   // index unchanged.
   for (const PerKey& pk : pr->keys) {
-    auto it = pk.map.find(HashOn(tuple, pk.key));
+    auto it = pk.map.find(tuple.HashOn(pk.key));
     if (it == pk.map.end()) continue;
     for (const PartialTuple& existing : it->second) {
       if (existing.AgreesOn(tuple, pk.key) && existing != tuple) {
@@ -88,7 +75,7 @@ Status StateKeyIndex::AddTuple(size_t rel, const PartialTuple& tuple) {
     }
   }
   for (PerKey& pk : pr->keys) {
-    pk.map[HashOn(tuple, pk.key)].push_back(tuple);
+    pk.map[tuple.HashOn(pk.key)].push_back(tuple);
     ++indexed_entries_;
   }
   return OkStatus();

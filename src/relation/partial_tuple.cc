@@ -65,6 +65,16 @@ size_t PartialTuple::Hash() const {
   return static_cast<size_t>(h);
 }
 
+uint64_t PartialTuple::HashOn(const AttributeSet& x) const {
+  IRD_CHECK_MSG(x.IsSubsetOf(attrs_), "hash outside tuple's scheme");
+  uint64_t h = 1469598103934665603ull;
+  x.ForEach([&](AttributeId a) {
+    h ^= static_cast<uint64_t>(values_[attrs_.Rank(a)]) +
+         0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  });
+  return h;
+}
+
 std::string PartialTuple::ToString(const Universe& universe) const {
   std::string out = "<";
   bool first = true;

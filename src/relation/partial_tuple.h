@@ -77,6 +77,12 @@ class PartialTuple {
 
   size_t Hash() const;
 
+  // Hash of the tuple's values on x (which must be ⊆ attrs()), equal for
+  // any two tuples that agree on x whatever their other attributes: the
+  // key of the hash joins, key indexes and FD checks, computed in place
+  // instead of on a Restrict() temporary.
+  uint64_t HashOn(const AttributeSet& x) const;
+
   // "<A=1,B=7>" with universe names.
   std::string ToString(const Universe& universe) const;
 

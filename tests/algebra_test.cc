@@ -76,6 +76,21 @@ TEST_F(AlgebraTest, EvaluateUnion) {
   EXPECT_EQ(r.size(), 2u);
 }
 
+// The relations overload reads each base relation through its pointer and
+// needs no other: a plan over R1 and R2 evaluates with every other entry
+// null and answers as the DatabaseState overload does.
+TEST_F(AlgebraTest, EvaluateReadsOnlyTheRelationsThePlanNames) {
+  ExprPtr plan = Expression::Project(Attrs(scheme_, "AC"),
+                                     Expression::Join({Base(0), Base(1)}));
+  std::vector<const PartialRelation*> relations(scheme_.size(), nullptr);
+  relations[0] = &state_.relation(0);
+  relations[1] = &state_.relation(1);
+  PartialRelation borrowed = Evaluate(*plan, relations);
+  ASSERT_EQ(borrowed.size(), 1u);
+  EXPECT_EQ(borrowed.tuples()[0].values(), (std::vector<Value>{1, 3}));
+  EXPECT_TRUE(borrowed.SetEquals(Evaluate(*plan, state_)));
+}
+
 TEST_F(AlgebraTest, NodeCount) {
   ExprPtr e = Expression::Project(
       Attrs(scheme_, "A"), Expression::Join({Base(0), Base(1)}));

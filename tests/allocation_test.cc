@@ -1,10 +1,12 @@
 // Allocation accounting for the memory-substrate hot paths: a counting
 // global operator new proves that (a) the chase engine's worklist-drain
-// loop and (b) warm ClosureEngine::Closure queries run without touching the
-// heap — the arena, the reserved merge log, and the engine scratch absorb
-// every steady-state need. Registered only in Release builds without
-// sanitizers (both Debug allocators and ASan/TSan interpose on new/delete
-// and would make the counts meaningless); see tests/CMakeLists.txt.
+// loop, (b) warm ClosureEngine::Closure queries and (c) PartialRelation's
+// Contains and duplicate AddUnique run without touching the heap — the
+// arena, the reserved merge log, the engine scratch and the relation's
+// dedup table absorb every steady-state need. Registered only in Release
+// builds without sanitizers (both Debug allocators and ASan/TSan
+// interpose on new/delete and would make the counts meaningless); see
+// tests/CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "base/universe.h"
 #include "fd/closure_engine.h"
 #include "fd/fd_set.h"
+#include "relation/relation.h"
 #include "tableau/chase.h"
 #include "tableau/tableau.h"
 
@@ -131,6 +134,35 @@ TEST(AllocationTest, WarmClosureQueriesAreHeapFree) {
     ASSERT_EQ(closure.Count(), 12u - a);
   }
   uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+}
+
+// The dedup index answers from its own arrays: a membership probe and a
+// rejected duplicate insert (by reference or by value) allocate nothing.
+TEST(AllocationTest, ContainsAndDuplicateAddUniqueAreHeapFree) {
+  const AttributeSet attrs{0, 1, 2};
+  PartialRelation r(attrs);
+  for (Value i = 0; i < 1000; ++i) {
+    r.AddUnique(PartialTuple(attrs, {i, i + 1, i + 2}));
+  }
+  PartialTuple present(attrs, {500, 501, 502});
+  PartialTuple absent(attrs, {500, 501, 503});
+  PartialTuple moved_dup(attrs, {7, 8, 9});
+  // Warm-up: touches the obs counter site (a local static).
+  ASSERT_TRUE(r.Contains(present));
+
+  uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  bool contains = r.Contains(present);
+  bool contains_absent = r.Contains(absent);
+  bool added = r.AddUnique(present);
+  bool added_moved = r.AddUnique(std::move(moved_dup));
+  uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_TRUE(contains);
+  EXPECT_FALSE(contains_absent);
+  EXPECT_FALSE(added);
+  EXPECT_FALSE(added_moved);
+  EXPECT_EQ(r.size(), 1000u);
   EXPECT_EQ(after - before, 0u);
 }
 

@@ -5,12 +5,14 @@
 // bound. With IRD_OBS=OFF every delta is zero and the lower-bound
 // assertions are vacuous, so the whole file skips.
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "algebra/expression.h"
 #include "core/kep.h"
 #include "core/key_equivalent_maintainer.h"
 #include "core/recognition.h"
@@ -212,6 +214,63 @@ TEST(ObsInvariantsTest, Alg5RejectionConstantTimeCounters) {
   }
   EXPECT_GT(probes[0], 0u);
   EXPECT_EQ(probes[0], probes[1]);
+}
+
+// The applied half of the constant: BlockShard::Apply enters each accepted
+// insert through AddUnique, whose dedup index inspects a few table slots
+// whatever the relation's size. A stream of half re-inserts (duplicates
+// under set semantics) and half fresh tuples is applied to a one-relation
+// scheme holding 10^3 and then 10^5 tuples; the mean relation.dedup_probes
+// per Apply stays small and moves by under 2x across the 100x spread.
+TEST(ObsInvariantsTest, ApplyDedupProbesFlatInRelationSize) {
+  IRD_REQUIRE_OBS();
+  DatabaseScheme scheme = DatabaseScheme::Create();
+  scheme.AddRelation("R", "AB", {"A"});
+  constexpr Value kOps = 2000;
+  std::vector<double> per_apply;
+  for (Value tuples : {Value{1000}, Value{100000}}) {
+    DatabaseState state(scheme);
+    for (Value i = 0; i < tuples; ++i) state.Insert(0, {i, 3 * i});
+    Result<ShardedMaintainer> m =
+        ShardedMaintainer::Create(std::move(state), 1, false);
+    ASSERT_TRUE(m.ok());
+    obs::Snapshot delta = Measure([&] {
+      for (Value k = 0; k < kOps; ++k) {
+        Value a = k % 2 == 0 ? (k * 7919) % tuples : tuples + k;
+        PartialTuple t(scheme.relation(0).attrs, {a, 3 * a});
+        EXPECT_TRUE(m->Insert(0, t).ok());
+      }
+    });
+    per_apply.push_back(
+        static_cast<double>(DeltaOf(delta, "relation.dedup_probes")) /
+        static_cast<double>(kOps));
+    EXPECT_GE(per_apply.back(), 1.0) << "tuples=" << tuples;
+    EXPECT_LE(per_apply.back(), 4.0) << "tuples=" << tuples;
+  }
+  double hi = std::max(per_apply[0], per_apply[1]);
+  double lo = std::min(per_apply[0], per_apply[1]);
+  EXPECT_LT(hi, 2.0 * lo) << per_apply[0] << " vs " << per_apply[1];
+}
+
+// Evaluate reads base relations in place: π_AC(R1 ⋈ R2) materializes only
+// the join's and the projection's rows, and the join hashes the smaller
+// relation (3 rows) and probes with the larger (5 rows).
+TEST(ObsInvariantsTest, EvaluateMaterializesOnlyNonBaseNodes) {
+  IRD_REQUIRE_OBS();
+  DatabaseScheme scheme = test::Example9();
+  DatabaseState state(scheme);
+  for (Value i = 0; i < 3; ++i) state.Insert("R1", {i, i});
+  for (Value i = 0; i < 5; ++i) state.Insert("R2", {i, 10 + i});
+  ExprPtr plan = Expression::Project(
+      test::Attrs(scheme, "AC"),
+      Expression::Join({Expression::Base(0, scheme.relation(0).attrs),
+                        Expression::Base(1, scheme.relation(1).attrs)}));
+  PartialRelation answer;
+  obs::Snapshot delta = Measure([&] { answer = Evaluate(*plan, state); });
+  EXPECT_EQ(answer.size(), 3u);
+  EXPECT_EQ(DeltaOf(delta, "algebra.join.build_rows"), 3u);
+  EXPECT_EQ(DeltaOf(delta, "algebra.join.probe_rows"), 5u);
+  EXPECT_EQ(DeltaOf(delta, "algebra.rows_materialized"), 6u);
 }
 
 // Algorithm 2's rejection cost is bounded by the distinct pool keys (the

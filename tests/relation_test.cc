@@ -1,3 +1,8 @@
+#include <random>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "relation/weak_instance.h"
@@ -25,6 +30,18 @@ TEST(PartialTupleTest, AgreesOn) {
   EXPECT_TRUE(a.AgreesOn(b, AttributeSet{1}));
   PartialTuple c(AttributeSet{1, 2}, {9, 3});
   EXPECT_FALSE(a.AgreesOn(c, AttributeSet{1}));
+}
+
+// HashOn depends only on the values on x: tuples over different schemes
+// that agree on x hash alike, as the hash join and key index need.
+TEST(PartialTupleTest, HashOnSeesOnlyTheGivenAttributes) {
+  PartialTuple a(AttributeSet{0, 1, 2}, {1, 2, 3});
+  PartialTuple b(AttributeSet{1, 2, 5}, {2, 3, 9});
+  PartialTuple c(AttributeSet{1, 2}, {2, 4});
+  AttributeSet x{1, 2};
+  EXPECT_EQ(a.HashOn(x), b.HashOn(x));
+  EXPECT_EQ(a.HashOn(x), a.Restrict(x).HashOn(x));
+  EXPECT_NE(a.HashOn(x), c.HashOn(x));
 }
 
 TEST(PartialTupleTest, JoinCompatible) {
@@ -71,6 +88,135 @@ TEST(PartialRelationTest, SetEquals) {
   EXPECT_TRUE(a.SetEquals(b));
   b.Add({3});
   EXPECT_FALSE(a.SetEquals(b));
+}
+
+PartialTuple Pair(Value a, Value b) {
+  return PartialTuple(AttributeSet{0, 1}, {a, b});
+}
+
+// 1000 distinct tuples cross seven of the dedup table's resize boundaries
+// (16 slots doubling to 2048); every row stays findable across each rehash
+// and tuples() keeps insertion order.
+TEST(PartialRelationTest, IndexSurvivesGrowthInInsertionOrder) {
+  PartialRelation r(AttributeSet{0, 1});
+  constexpr Value kRows = 1000;
+  for (Value i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(r.AddUnique(Pair(i, i * 7)));
+    ASSERT_TRUE(r.Contains(Pair(i / 2, (i / 2) * 7))) << i;
+  }
+  ASSERT_EQ(r.size(), static_cast<size_t>(kRows));
+  for (Value i = 0; i < kRows; ++i) {
+    EXPECT_EQ(r.tuples()[i].values(), (std::vector<Value>{i, i * 7}));
+    EXPECT_FALSE(r.AddUnique(Pair(i, i * 7)));
+    EXPECT_FALSE(r.Contains(Pair(i, i * 7 + 1)));
+  }
+  EXPECT_EQ(r.size(), static_cast<size_t>(kRows));
+}
+
+// Add appends duplicates unconditionally; set semantics see one copy.
+TEST(PartialRelationTest, AddKeepsDuplicatesThatSetOperationsCollapse) {
+  PartialRelation r(AttributeSet{0, 1});
+  r.Add(Pair(1, 1));
+  r.Add(Pair(1, 1));
+  r.Add(Pair(2, 2));
+  r.Add(Pair(1, 1));
+  ASSERT_EQ(r.size(), 4u);
+  EXPECT_EQ(r.tuples()[3], Pair(1, 1));
+  EXPECT_TRUE(r.Contains(Pair(1, 1)));
+  EXPECT_TRUE(r.Contains(Pair(2, 2)));
+  EXPECT_FALSE(r.Contains(Pair(3, 3)));
+  EXPECT_FALSE(r.AddUnique(Pair(1, 1)));
+  EXPECT_FALSE(r.AddUnique(Pair(2, 2)));
+  EXPECT_TRUE(r.AddUnique(Pair(3, 3)));
+  EXPECT_EQ(r.size(), 5u);
+  EXPECT_EQ(r.tuples()[4], Pair(3, 3));
+
+  PartialRelation set(AttributeSet{0, 1});
+  set.AddUnique(Pair(3, 3));
+  set.AddUnique(Pair(2, 2));
+  set.AddUnique(Pair(1, 1));
+  EXPECT_TRUE(r.SetEquals(set));
+  EXPECT_TRUE(set.SetEquals(r));
+  set.AddUnique(Pair(4, 4));
+  EXPECT_FALSE(r.SetEquals(set));
+  EXPECT_FALSE(set.SetEquals(r));
+}
+
+// Copies and assignments carry their own index: growing one leaves the
+// other's answers unchanged, and a moved-to relation keeps working.
+TEST(PartialRelationTest, CopyMoveAndAssignmentKeepIndependentIndexes) {
+  PartialRelation r(AttributeSet{0, 1});
+  for (Value i = 0; i < 100; ++i) r.AddUnique(Pair(i, i));
+
+  PartialRelation copy = r;
+  EXPECT_TRUE(copy.AddUnique(Pair(500, 500)));
+  EXPECT_TRUE(r.AddUnique(Pair(600, 600)));
+  EXPECT_FALSE(r.Contains(Pair(500, 500)));
+  EXPECT_FALSE(copy.Contains(Pair(600, 600)));
+  for (Value i = 0; i < 100; ++i) {
+    EXPECT_TRUE(copy.Contains(Pair(i, i)));
+    EXPECT_FALSE(copy.AddUnique(Pair(i, i)));
+  }
+
+  PartialRelation moved = std::move(copy);
+  EXPECT_EQ(moved.size(), 101u);
+  EXPECT_TRUE(moved.Contains(Pair(500, 500)));
+  EXPECT_FALSE(moved.AddUnique(Pair(7, 7)));
+  for (Value i = 1000; i < 1100; ++i) EXPECT_TRUE(moved.AddUnique(Pair(i, i)));
+  EXPECT_TRUE(moved.Contains(Pair(1050, 1050)));
+
+  PartialRelation assigned(AttributeSet{0, 1});
+  assigned.AddUnique(Pair(-1, -1));
+  assigned = r;
+  EXPECT_FALSE(assigned.Contains(Pair(-1, -1)));
+  EXPECT_TRUE(assigned.SetEquals(r));
+  EXPECT_TRUE(assigned.AddUnique(Pair(700, 700)));
+  EXPECT_FALSE(r.Contains(Pair(700, 700)));
+
+  PartialRelation move_assigned(AttributeSet{0, 1});
+  move_assigned.AddUnique(Pair(-1, -1));
+  move_assigned = std::move(assigned);
+  EXPECT_FALSE(move_assigned.Contains(Pair(-1, -1)));
+  EXPECT_TRUE(move_assigned.Contains(Pair(700, 700)));
+  EXPECT_TRUE(move_assigned.Contains(Pair(600, 600)));
+  EXPECT_FALSE(move_assigned.AddUnique(Pair(42, 42)));
+  EXPECT_TRUE(move_assigned.AddUnique(Pair(800, 800)));
+}
+
+// A seeded differential of 10^5 Add / AddUnique / Contains operations
+// against std::set on a 20x20 value domain, so most operations meet a
+// duplicate and the table rehashes many times with duplicates present.
+TEST(PartialRelationTest, DifferentialAgainstStdSet) {
+  std::mt19937_64 rng(20260806);
+  std::uniform_int_distribution<Value> value(0, 19);
+  std::uniform_int_distribution<int> op(0, 9);
+  PartialRelation r(AttributeSet{0, 1});
+  std::set<std::vector<Value>> model;
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < 100000; ++i) {
+    std::vector<Value> v = {value(rng), value(rng)};
+    PartialTuple t(AttributeSet{0, 1}, v);
+    int kind = op(rng);
+    if (kind < 2) {
+      r.Add(t);
+      model.insert(v);
+      rows.push_back(v);
+    } else if (kind < 6) {
+      bool fresh = model.insert(v).second;
+      ASSERT_EQ(r.AddUnique(t), fresh) << "op " << i;
+      if (fresh) rows.push_back(v);
+    } else {
+      ASSERT_EQ(r.Contains(t), model.count(v) > 0) << "op " << i;
+    }
+    ASSERT_EQ(r.size(), rows.size()) << "op " << i;
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(r.tuples()[i].values(), rows[i]) << "row " << i;
+  }
+  PartialRelation expected(AttributeSet{0, 1});
+  for (const std::vector<Value>& v : model) expected.Add(v);
+  EXPECT_TRUE(r.SetEquals(expected));
+  EXPECT_TRUE(expected.SetEquals(r));
 }
 
 TEST(PartialRelationTest, SatisfiesFds) {
