@@ -25,8 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <numeric>
-
 #include "core/key_equivalent_maintainer.h"
 #include "core/sharded_maintainer.h"
 #include "obs/export.h"
@@ -87,9 +85,6 @@ void BM_Alg2CheckInsert_Chain(benchmark::State& bench) {
   DatabaseState state = MakeState(scheme, bench.range(0));
   auto index = RepresentativeIndex::Build(state);
   IRD_CHECK(index.ok());
-  std::vector<size_t> pool(scheme.size());
-  std::iota(pool.begin(), pool.end(), 0);
-  const std::vector<AttributeSet> pool_keys = DistinctPoolKeys(scheme, pool);
   auto stream =
       MakeInsertStream(scheme, state, kStreamLength, kConflictRate, 42);
   size_t i = 0;
@@ -97,8 +92,8 @@ void BM_Alg2CheckInsert_Chain(benchmark::State& bench) {
   for (auto _ : bench) {
     const InsertInstance& ins = stream[i++ % stream.size()];
     MaintenanceStats stats;
-    auto verdict = CheckInsertKeyEquivalent(scheme, pool_keys, *index,
-                                            ins.rel, ins.tuple, &stats);
+    auto verdict = CheckInsertKeyEquivalent(scheme, *index, ins.rel,
+                                            ins.tuple, &stats);
     benchmark::DoNotOptimize(verdict);
     lookups += stats.lookups;
   }
@@ -219,7 +214,7 @@ BENCHMARK(BM_NaiveCheckInsert_Split)->Arg(100)->Arg(1000)->Arg(10000);
 
 // Amortized cost of *applied* inserts (index maintenance included): builds
 // the state through the maintainer itself (one split-free block, so
-// Algorithm 5 plus StateKeyIndex::AddTuple).
+// Algorithm 5 plus the relation's key-table update).
 void BM_CtmApplyInsert(benchmark::State& bench) {
   DatabaseScheme scheme = MakeChainScheme(4);
   DatabaseState empty(scheme);

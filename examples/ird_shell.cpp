@@ -28,7 +28,6 @@
 
 #include "core/classify.h"
 #include "core/sharded_maintainer.h"
-#include "core/total_projection.h"
 #include "diagnostics/render.h"
 #include "io/text_format.h"
 #include "relation/weak_instance.h"
@@ -204,10 +203,8 @@ class Shell {
     if (!Ready()) return;
     std::optional<AttributeSet> x = ParseAttrs(words);
     if (!x.has_value()) return;
-    // The Theorem 4.1 expression for X, compiled as the maintainer's plan
-    // cache compiles it.
-    ExprPtr plan = BuildBoundedProjectionExpr(
-        db_.scheme, maintainer_->sharded_state().recognition(), *x);
+    // The Theorem 4.1 expression for X, from the maintainer's plan cache.
+    ExprPtr plan = maintainer_->PlanFor(*x);
     if (plan == nullptr) {
       std::puts("no covering expression: the projection is always empty");
     } else {

@@ -6,6 +6,7 @@
 //   - the LSAT ≠ WSAT dependence witness for non-independent schemes.
 
 #include <cstdio>
+#include <numeric>
 
 #include "core/ctm_maintainer.h"
 #include "core/independence.h"
@@ -91,11 +92,12 @@ int main() {
               WouldRemainConsistent(w->state, w->insert_rel, w->insert)
                   ? "consistent"
                   : "INCONSISTENT");
-  Result<StateKeyIndex> idx = StateKeyIndex::Build(w->state);
-  IRD_CHECK(idx.ok());
+  std::vector<size_t> pool(ex4.size());
+  std::iota(pool.begin(), pool.end(), 0);
+  IRD_CHECK(w->state.IndexKeys(pool).ok());
   std::printf("  raw key-probe verdict:  %s   <- why split schemes are not "
               "ctm\n",
-              CheckInsertCtm(ex4, *idx, w->insert_rel, w->insert).ok()
+              CheckInsertCtm(w->state, pool, w->insert_rel, w->insert).ok()
                   ? "consistent (WRONG)"
                   : "inconsistent");
 

@@ -207,7 +207,8 @@ class ArenaVector {
 
   void assign(Arena& arena, const T* src, size_t n) {
     reserve(arena, n);
-    std::memcpy(static_cast<void*>(data_), src, n * sizeof(T));
+    // memcpy from a null `src` is undefined even for n == 0.
+    if (n > 0) std::memcpy(static_cast<void*>(data_), src, n * sizeof(T));
     size_ = n;
   }
 

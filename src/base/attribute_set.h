@@ -73,7 +73,9 @@ class AttributeSet {
   }
   void Remove(AttributeId id) {
     const uint32_t w = id / 64;
-    if (w >= size_) return;
+    // size_ <= capacity_ always; the second test only hands GCC's
+    // -Warray-bounds the bound of the inline words at -O3.
+    if (w >= size_ || w >= capacity_) return;
     MutableWords()[w] &= ~(uint64_t{1} << (id % 64));
     Normalize();
   }

@@ -13,10 +13,7 @@ Result<BlockShard> BlockShard::Build(const DatabaseState& state,
   shard.pool_ = std::move(pool);
   shard.split_free_ = split_free;
   if (split_free) {
-    Result<StateKeyIndex> idx =
-        StateKeyIndex::Build(shard.substate_, shard.pool_);
-    if (!idx.ok()) return idx.status();
-    shard.key_index_ = std::move(idx).value();
+    IRD_RETURN_IF_ERROR(shard.substate_.IndexKeys(shard.pool_));
     if (verify_consistency) {
       Result<RepresentativeIndex> rep =
           RepresentativeIndex::Build(shard.substate_, shard.pool_);
@@ -29,8 +26,6 @@ Result<BlockShard> BlockShard::Build(const DatabaseState& state,
         RepresentativeIndex::Build(shard.substate_, shard.pool_);
     if (!rep.ok()) return rep.status();
     shard.rep_index_ = std::move(rep).value();
-    shard.pool_keys_ =
-        DistinctPoolKeys(shard.substate_.scheme(), shard.pool_);
   }
   return shard;
 }
@@ -41,21 +36,20 @@ Result<PartialTuple> BlockShard::CheckInsert(size_t rel,
                                              MaintainScratch* scratch) const {
   if (split_free_) {
     ExtensionStats ext_stats;
-    Result<PartialTuple> q = CheckInsertCtm(substate_.scheme(), *key_index_,
-                                            rel, tuple, &ext_stats, scratch);
+    Result<PartialTuple> q =
+        CheckInsertCtm(substate_, pool_, rel, tuple, &ext_stats, scratch);
     if (stats != nullptr) {
       stats->lookups += ext_stats.probes;
     }
     return q;
   }
-  return CheckInsertKeyEquivalent(substate_.scheme(), pool_keys_,
-                                  *rep_index_, rel, tuple, stats, scratch);
+  return CheckInsertKeyEquivalent(substate_.scheme(), *rep_index_, rel,
+                                  tuple, stats, scratch);
 }
 
 Status BlockShard::Apply(size_t rel, const PartialTuple& tuple) {
-  if (!substate_.mutable_relation(rel).AddUnique(tuple)) return OkStatus();
-  if (split_free_) {
-    return key_index_->AddTuple(rel, tuple);
+  if (!substate_.mutable_relation(rel).AddUnique(tuple) || split_free_) {
+    return OkStatus();
   }
   return rep_index_->InsertTuple(rel, tuple);
 }

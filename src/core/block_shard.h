@@ -1,11 +1,12 @@
 // BlockShard: one block of the independence-reducible partition as a
 // self-contained maintenance unit. The shard owns the block's tuples (a
-// pool-restricted DatabaseState), its access structures (StateKeyIndex for
-// split-free blocks, RepresentativeIndex for split blocks) and the
-// per-block maintainer state behind Algorithms 5 and 2. Because the merged
-// induced scheme is independent (Theorem 4.2), a shard validates and
-// applies inserts into its pool without ever reading another shard — the
-// paper's structural result turned into a unit of data ownership.
+// pool-restricted DatabaseState), its access structures (the relations'
+// own key tables for split-free blocks, a RepresentativeIndex for split
+// blocks) and the per-block maintainer state behind Algorithms 5 and 2.
+// Because the merged induced scheme is independent (Theorem 4.2), a shard
+// validates and applies inserts into its pool without ever reading
+// another shard — the paper's structural result turned into a unit of
+// data ownership.
 
 #ifndef IRD_CORE_BLOCK_SHARD_H_
 #define IRD_CORE_BLOCK_SHARD_H_
@@ -16,7 +17,6 @@
 #include "core/ctm_maintainer.h"
 #include "core/key_equivalent_maintainer.h"
 #include "core/representative_index.h"
-#include "core/state_key_index.h"
 #include "relation/database_state.h"
 
 namespace ird {
@@ -25,11 +25,13 @@ class BlockShard {
  public:
   // Builds the shard for `pool` from the pool's tuples in `state`. The pool
   // must be a key-equivalent block; `split_free` selects the Algorithm 5
-  // (StateKeyIndex) vs Algorithm 2 (RepresentativeIndex) machinery. With
-  // `verify_consistency`, the block substate is chased once (Algorithm 1)
-  // even on the split-free path; building a split block's representative
-  // instance verifies consistency as a byproduct either way. Fails with
-  // kInconsistent when the block substate has no weak instance.
+  // (key-indexed relations) vs Algorithm 2 (RepresentativeIndex)
+  // machinery. With `verify_consistency`, the block substate is chased
+  // once (Algorithm 1) even on the split-free path; building a split
+  // block's representative instance verifies consistency as a byproduct
+  // either way. Fails with kInconsistent when the block substate has no
+  // weak instance, and on a split-free block with a local key violation
+  // even without `verify_consistency`.
   static Result<BlockShard> Build(const DatabaseState& state,
                                   std::vector<size_t> pool, bool split_free,
                                   bool verify_consistency);
@@ -53,10 +55,11 @@ class BlockShard {
                                    MaintenanceStats* stats = nullptr,
                                    MaintainScratch* scratch = nullptr) const;
 
-  // Applies an insert this shard has already validated: updates the owned
-  // substate and whichever index drives the block's algorithm. A tuple
-  // the substate already holds is already indexed, so a re-insert stops
-  // at the relation's dedup check.
+  // Applies an insert this shard has already validated: adds it to the
+  // owned substate, whose relations keep their own key tables current,
+  // and on a split block to the representative instance. A tuple the
+  // substate already holds is already there too, so a re-insert stops at
+  // the relation's dedup check.
   Status Apply(size_t rel, const PartialTuple& tuple);
 
   // CheckInsert + Apply.
@@ -67,13 +70,9 @@ class BlockShard {
   BlockShard() : substate_(DatabaseScheme::Create()) {}
 
   std::vector<size_t> pool_;
-  // Algorithm 2's distinct-key worklist universe, precomputed at Build so
-  // per-insert checks skip the scan (split blocks only).
-  std::vector<AttributeSet> pool_keys_;
   bool split_free_ = false;
+  // Split-free blocks index their relations' keys here for Algorithm 5.
   DatabaseState substate_;
-  // Split-free blocks: raw-state key indexes driving Algorithm 5.
-  std::optional<StateKeyIndex> key_index_;
   // Split blocks: the block representative instance driving Algorithm 2.
   std::optional<RepresentativeIndex> rep_index_;
 };

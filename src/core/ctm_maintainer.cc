@@ -6,11 +6,12 @@
 
 namespace ird {
 
-Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
-                                    const StateKeyIndex& index, size_t rel,
-                                    const PartialTuple& tuple,
+Result<PartialTuple> CheckInsertCtm(const DatabaseState& state,
+                                    const std::vector<size_t>& pool,
+                                    size_t rel, const PartialTuple& tuple,
                                     ExtensionStats* stats,
                                     MaintainScratch* scratch) {
+  const DatabaseScheme& scheme = state.scheme();
   IRD_CHECK(tuple.attrs() == scheme.relation(rel).attrs);
   IRD_COUNT(maintain.alg5.checks);
   // Per-check latency distribution: Theorem 5.5 claims this path is
@@ -35,7 +36,7 @@ Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
   for (const AttributeSet& key : scheme.relation(rel).keys) {
     tuple.RestrictInto(key, &s->key_seed);
     Result<PartialTuple> extended =
-        ExtendTuple(scheme, index, s->key_seed, &local, s);
+        ExtendTuple(state, pool, s->key_seed, &local, s);
     if (!extended.ok()) {
       IRD_COUNT(maintain.alg5.rejects);
       flush();

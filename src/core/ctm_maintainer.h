@@ -8,19 +8,19 @@
 
 #include <vector>
 
-#include "core/state_key_index.h"
 #include "core/tuple_extension.h"
 #include "relation/database_state.h"
 
 namespace ird {
 
 // Algorithm 5 on one instance <s, t>: extends t on each key of its scheme
-// (Algorithm 4) and intersects the results. Returns the joined tuple q on
-// yes, kInconsistent on no. Pure. `scratch` (optional) recycles the
-// restriction/join buffers across checks.
-Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
-                                    const StateKeyIndex& index, size_t rel,
-                                    const PartialTuple& tuple,
+// (Algorithm 4 over the key-indexed relations of `pool` in `state`) and
+// intersects the results. `rel` must be in `pool`. Returns the joined
+// tuple q on yes, kInconsistent on no. Pure. `scratch` (optional)
+// recycles the restriction/join buffers across checks.
+Result<PartialTuple> CheckInsertCtm(const DatabaseState& state,
+                                    const std::vector<size_t>& pool,
+                                    size_t rel, const PartialTuple& tuple,
                                     ExtensionStats* stats = nullptr,
                                     MaintainScratch* scratch = nullptr);
 

@@ -6,37 +6,11 @@
 
 namespace ird {
 
-std::vector<AttributeSet> DistinctPoolKeys(const DatabaseScheme& scheme,
-                                           const std::vector<size_t>& pool) {
-  std::vector<AttributeSet> pool_keys;
-  for (size_t i : pool) {
-    for (const AttributeSet& key : scheme.relation(i).keys) {
-      bool known = false;
-      for (const AttributeSet& k : pool_keys) {
-        if (k == key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) pool_keys.push_back(key);
-    }
-  }
-  return pool_keys;
-}
-
 Result<PartialTuple> CheckInsertKeyEquivalent(
-    const DatabaseScheme& scheme, const std::vector<size_t>& pool,
-    const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats) {
-  return CheckInsertKeyEquivalent(scheme, DistinctPoolKeys(scheme, pool),
-                                  index, rel, tuple, stats);
-}
-
-Result<PartialTuple> CheckInsertKeyEquivalent(
-    const DatabaseScheme& scheme,
-    const std::vector<AttributeSet>& pool_keys,
-    const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats, MaintainScratch* scratch) {
+    const DatabaseScheme& scheme, const RepresentativeIndex& index,
+    size_t rel, const PartialTuple& tuple, MaintenanceStats* stats,
+    MaintainScratch* scratch) {
+  const std::vector<AttributeSet>& pool_keys = index.keys();
   IRD_CHECK(tuple.attrs() == scheme.relation(rel).attrs);
   IRD_COUNT(maintain.alg2.checks);
   // Algorithm 2's per-check latency: the expression-maintenance side of

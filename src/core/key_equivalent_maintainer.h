@@ -21,29 +21,17 @@ struct MaintenanceStats {
   size_t lookups = 0;
 };
 
-// The distinct keys embedded in the pool's relations — Algorithm 2's key
-// worklist universe. Depends only on the scheme and pool, so callers that
-// check many inserts compute it once (BlockShard caches it per block).
-std::vector<AttributeSet> DistinctPoolKeys(const DatabaseScheme& scheme,
-                                           const std::vector<size_t>& pool);
-
 // Algorithm 2 on one instance <s, t>: `index` must be the representative
-// instance of the (pool-restricted) current state; `rel` ∈ pool is the
-// relation receiving `tuple`. Returns the extended tuple q on success
-// ("yes", plus q, as in the paper) or kInconsistent ("no"). Pure — neither
-// the state nor the index is modified.
+// instance of the (pool-restricted) current state, and its keys() are the
+// worklist universe; `rel`, a relation of the pool, receives `tuple`.
+// Returns the extended tuple q on success ("yes", plus q, as in the paper)
+// or kInconsistent ("no"). Pure — neither the state nor the index is
+// modified. `scratch` (optional) recycles the worklist and join buffers
+// across checks.
 Result<PartialTuple> CheckInsertKeyEquivalent(
-    const DatabaseScheme& scheme, const std::vector<size_t>& pool,
-    const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats = nullptr);
-
-// As above with `pool_keys` precomputed by DistinctPoolKeys and optional
-// reusable scratch — the form the per-insert hot path (BlockShard) uses.
-Result<PartialTuple> CheckInsertKeyEquivalent(
-    const DatabaseScheme& scheme,
-    const std::vector<AttributeSet>& pool_keys,
-    const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats = nullptr, MaintainScratch* scratch = nullptr);
+    const DatabaseScheme& scheme, const RepresentativeIndex& index,
+    size_t rel, const PartialTuple& tuple, MaintenanceStats* stats = nullptr,
+    MaintainScratch* scratch = nullptr);
 
 }  // namespace ird
 

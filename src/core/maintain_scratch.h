@@ -23,8 +23,6 @@ struct MaintainScratch {
   // CheckInsertCtm / CheckInsertKeyEquivalent: the candidate tuple's
   // per-key restriction (the seed of each extension).
   PartialTuple key_seed;
-  // ExtendTuple: the working tuple's per-probe key restriction.
-  PartialTuple restricted;
   // Join target; swapped with the accumulating tuple after each join so
   // the displaced buffer is reused for the next one.
   PartialTuple joined;

@@ -1,25 +1,11 @@
 #include "core/representative_index.h"
 
-#include <deque>
 #include <numeric>
+#include <optional>
 
 #include "core/key_equivalence.h"
 
 namespace ird {
-
-namespace {
-
-uint64_t HashKeyValues(size_t key_ordinal, const PartialTuple& tuple,
-                       const AttributeSet& key) {
-  uint64_t h = 1469598103934665603ull ^ (key_ordinal * 0x9e3779b97f4a7c15ull);
-  key.ForEach([&](AttributeId a) {
-    h ^= static_cast<uint64_t>(tuple.At(a)) + 0x9e3779b97f4a7c15ull +
-         (h << 6) + (h >> 2);
-  });
-  return h;
-}
-
-}  // namespace
 
 Result<RepresentativeIndex> RepresentativeIndex::Build(
     const DatabaseState& state, std::vector<size_t> pool) {
@@ -42,6 +28,7 @@ Result<RepresentativeIndex> RepresentativeIndex::Build(
       if (!known) idx.keys_.push_back(key);
     }
   }
+  idx.tables_.resize(idx.keys_.size());
   for (size_t i : pool) {
     for (const PartialTuple& tuple : state.relation(i).tuples()) {
       IRD_RETURN_IF_ERROR(idx.InsertTuple(i, tuple));
@@ -50,82 +37,77 @@ Result<RepresentativeIndex> RepresentativeIndex::Build(
   return idx;
 }
 
-size_t RepresentativeIndex::AddRow(PartialTuple tuple) {
-  rows_.push_back(std::move(tuple));
-  alive_.push_back(true);
-  return rows_.size() - 1;
+size_t RepresentativeIndex::FindSlot(size_t k, const PartialTuple& t) const {
+  const AttributeSet& key = keys_[k];
+  return tables_[k].Find(t.HashOn(key), [&](uint32_t row) {
+    return rows_[row].AgreesOn(t, key);
+  });
 }
 
-void RepresentativeIndex::IndexRow(size_t row) {
-  const PartialTuple& t = rows_[row];
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    if (keys_[k].IsSubsetOf(t.attrs())) {
-      index_[HashKeyValues(k, t, keys_[k])].push_back(row);
+Status RepresentativeIndex::Settle(uint32_t row) {
+  size_t k = 0;
+  while (k < keys_.size()) {
+    const AttributeSet& key = keys_[k];
+    if (!key.IsSubsetOf(rows_[row].attrs())) {
+      ++k;
+      continue;
     }
-  }
-}
-
-void RepresentativeIndex::UnindexRow(size_t row) {
-  const PartialTuple& t = rows_[row];
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    if (keys_[k].IsSubsetOf(t.attrs())) {
-      auto it = index_.find(HashKeyValues(k, t, keys_[k]));
-      if (it == index_.end()) continue;
-      auto& bucket = it->second;
-      for (size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i] == row) {
-          bucket[i] = bucket.back();
-          bucket.pop_back();
-          break;
-        }
+    const size_t slot = FindSlot(k, rows_[row]);
+    const uint32_t other = tables_[k].RowAt(slot);
+    if (other == RowTable::kNoRow) {
+      tables_[k].Insert(slot, row, rows_[row].HashOn(key), [&](uint32_t r) {
+        return rows_[r].HashOn(key);
+      });
+    }
+    if (other == RowTable::kNoRow || other == row) {
+      ++k;
+      continue;
+    }
+    IRD_CHECK_MSG(alive_[other], "a key table holds a merged-away row");
+    // fd-rule: the two rows agree on a key; since any key determines ∪S
+    // (key-equivalence), their shared constants must all agree, and they
+    // collapse into one row on the union of their columns.
+    std::optional<PartialTuple> joined = rows_[row].Join(rows_[other]);
+    if (!joined.has_value()) {
+      return Inconsistent(
+          "two tuples agree on a key but clash on a shared attribute");
+    }
+    // The merged-away row's slots pass to `row`, which now agrees with it
+    // on each of its keys. No other live row holds those key values, so
+    // `row` was entered under none of them before.
+    for (size_t k2 = 0; k2 < keys_.size(); ++k2) {
+      if (keys_[k2].IsSubsetOf(rows_[other].attrs())) {
+        tables_[k2].Replace(FindSlot(k2, rows_[other]), row);
       }
     }
-  }
-}
-
-Status RepresentativeIndex::Settle(size_t row) {
-  std::deque<size_t> queue = {row};
-  while (!queue.empty()) {
-    size_t r = queue.front();
-    queue.pop_front();
-    if (!alive_[r]) continue;
-    bool merged = false;
-    for (size_t k = 0; k < keys_.size() && !merged; ++k) {
-      const AttributeSet& key = keys_[k];
-      if (!key.IsSubsetOf(rows_[r].attrs())) continue;
-      auto it = index_.find(HashKeyValues(k, rows_[r], key));
-      if (it == index_.end()) continue;
-      for (size_t other : it->second) {
-        if (other == r || !alive_[other]) continue;
-        if (!key.IsSubsetOf(rows_[other].attrs())) continue;
-        if (!rows_[r].AgreesOn(rows_[other], key)) continue;  // hash collision
-        // fd-rule: the two rows agree on a key; since any key determines
-        // ∪S (key-equivalence), their shared constants must all agree, and
-        // they collapse into one row on the union of their columns.
-        std::optional<PartialTuple> joined = rows_[r].Join(rows_[other]);
-        if (!joined.has_value()) {
-          return Inconsistent(
-              "two tuples agree on a key but clash on a shared attribute");
-        }
-        UnindexRow(other);
-        alive_[other] = false;
-        rows_[r] = std::move(*joined);
-        queue.push_back(r);
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      IndexRow(r);
-    }
+    alive_[other] = false;
+    rows_[row] = std::move(*joined);
+    k = 0;  // `row` grew: probe its keys again
   }
   return OkStatus();
 }
 
 Status RepresentativeIndex::InsertTuple(size_t /*rel*/,
                                         const PartialTuple& tuple) {
-  size_t row = AddRow(tuple);
-  return Settle(row);
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    if (!keys_[k].IsSubsetOf(tuple.attrs())) continue;
+    const uint32_t row = tables_[k].RowAt(FindSlot(k, tuple));
+    if (row == RowTable::kNoRow) continue;
+    std::optional<PartialTuple> joined = rows_[row].Join(tuple);
+    if (!joined.has_value()) {
+      return Inconsistent(
+          "two tuples agree on a key but clash on a shared attribute");
+    }
+    // A row that did not grow agrees with no other live row on any key.
+    if (joined->attrs() == rows_[row].attrs()) return OkStatus();
+    rows_[row] = std::move(*joined);
+    return Settle(row);
+  }
+  IRD_CHECK_MSG(rows_.size() < RowTable::kNoRow,
+                "representative instance exceeds 2^32 - 1 rows");
+  rows_.push_back(tuple);
+  alive_.push_back(true);
+  return Settle(static_cast<uint32_t>(rows_.size() - 1));
 }
 
 std::vector<const PartialTuple*> RepresentativeIndex::Rows() const {
@@ -142,14 +124,8 @@ const PartialTuple* RepresentativeIndex::Lookup(
                 "Lookup values must be a tuple on exactly the key");
   for (size_t k = 0; k < keys_.size(); ++k) {
     if (keys_[k] != key) continue;
-    auto it = index_.find(HashKeyValues(k, key_values, key));
-    if (it == index_.end()) return nullptr;
-    for (size_t row : it->second) {
-      if (alive_[row] && rows_[row].AgreesOn(key_values, key)) {
-        return &rows_[row];
-      }
-    }
-    return nullptr;
+    const uint32_t row = tables_[k].RowAt(FindSlot(k, key_values));
+    return row == RowTable::kNoRow ? nullptr : &rows_[row];
   }
   IRD_CHECK_MSG(false, "Lookup with a key not embedded in the scheme");
   return nullptr;

@@ -2,7 +2,7 @@
 // instance of a consistent state on a key-equivalent database scheme,
 // maintained as a set of partial tuples ("rows" = the constant components of
 // the chased tableau's rows; the ndv's are implicit and all distinct, per
-// Corollary 3.1(a)) with a hash index per key.
+// Corollary 3.1(a)) with a RowTable per distinct key over the live rows.
 //
 // Invariants at rest (the paper's loop-termination conditions):
 //   * no two rows agree on a key (Lemma 3.2(c) + step (2) deduplication);
@@ -12,12 +12,11 @@
 #ifndef IRD_CORE_REPRESENTATIVE_INDEX_H_
 #define IRD_CORE_REPRESENTATIVE_INDEX_H_
 
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
 #include "relation/database_state.h"
+#include "relation/row_table.h"
 
 namespace ird {
 
@@ -31,6 +30,10 @@ class RepresentativeIndex {
   static Result<RepresentativeIndex> Build(const DatabaseState& state,
                                            std::vector<size_t> pool = {});
 
+  // The distinct keys of the pool's relations, in pool and declaration
+  // order — Algorithm 2's key worklist universe.
+  const std::vector<AttributeSet>& keys() const { return keys_; }
+
   // All live rows (total tuples of the representative instance restricted
   // to their constant columns).
   std::vector<const PartialTuple*> Rows() const;
@@ -42,9 +45,11 @@ class RepresentativeIndex {
                              const PartialTuple& key_values) const;
 
   // Inserts one more tuple of relation `rel` and re-establishes the
-  // invariants (the incremental form of Algorithm 1's while loop). Fails
-  // with kInconsistent if the enlarged state has no weak instance; the
-  // index is left unusable in that case (rebuild to recover).
+  // invariants (the incremental form of Algorithm 1's while loop): a
+  // tuple agreeing with a live row on a key joins into that row, any
+  // other starts a row of its own. Fails with kInconsistent if the
+  // enlarged state has no weak instance; the index is left unusable in
+  // that case (rebuild to recover).
   Status InsertTuple(size_t rel, const PartialTuple& tuple);
 
   // The X-total tuples of the representative instance, deduplicated — the
@@ -58,24 +63,19 @@ class RepresentativeIndex {
  private:
   RepresentativeIndex() = default;
 
-  // Key of the per-key hash index: which key, then the values on it.
-  struct KeySlot {
-    size_t key_ordinal;  // index into keys_
-    size_t row;          // row id
-  };
+  // The slot of tables_[k] holding the live row that agrees with `t` on
+  // keys_[k] (t must be total on it), or else the free slot ending its
+  // probe path.
+  size_t FindSlot(size_t k, const PartialTuple& t) const;
+  // Enters live row `row` into the table of every key it is total on,
+  // merging into it each live row that agrees with it on one of them.
+  Status Settle(uint32_t row);
 
-  size_t AddRow(PartialTuple tuple);
-  Status MergeInto(size_t target, size_t victim);
-  void IndexRow(size_t row);
-  void UnindexRow(size_t row);
-  Status Settle(size_t row);  // re-merge until invariants hold
-
-  // Distinct keys of the pool's relations.
   std::vector<AttributeSet> keys_;
+  // tables_[k]: every live row total on keys_[k], one per key value.
+  std::vector<RowTable> tables_;
   std::vector<PartialTuple> rows_;
   std::vector<bool> alive_;
-  // (key ordinal, key-values hash) -> row ids (collision chains verified).
-  std::unordered_map<uint64_t, std::vector<size_t>> index_;
 };
 
 }  // namespace ird

@@ -66,6 +66,10 @@ class ShardedMaintainer {
     return state_.TotalProjection(x);
   }
 
+  // The cached plan TotalProjection evaluates for [X] (see
+  // ShardedState::PlanFor).
+  ExprPtr PlanFor(const AttributeSet& x) { return state_.PlanFor(x); }
+
   // Theorem 5.5: ctm iff every shard is split-free.
   bool IsCtm() const { return state_.AllShardsSplitFree(); }
 

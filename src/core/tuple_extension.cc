@@ -4,8 +4,8 @@
 
 namespace ird {
 
-Result<PartialTuple> ExtendTuple(const DatabaseScheme& scheme,
-                                 const StateKeyIndex& index,
+Result<PartialTuple> ExtendTuple(const DatabaseState& state,
+                                 const std::vector<size_t>& pool,
                                  const PartialTuple& seed,
                                  ExtensionStats* stats,
                                  MaintainScratch* scratch) {
@@ -21,14 +21,13 @@ Result<PartialTuple> ExtendTuple(const DatabaseScheme& scheme,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (size_t rel : index.pool()) {
-      const RelationScheme& r = scheme.relation(rel);
+    for (size_t rel : pool) {
+      const RelationScheme& r = state.scheme().relation(rel);
       if (r.attrs.IsSubsetOf(t.attrs())) continue;  // Si - C = ∅
       for (const AttributeSet& key : r.keys) {
         if (!key.IsSubsetOf(t.attrs())) continue;
         if (stats != nullptr) ++stats->probes;
-        t.RestrictInto(key, &s->restricted);
-        const PartialTuple* p = index.Probe(rel, key, s->restricted);
+        const PartialTuple* p = state.relation(rel).FindByKey(key, t);
         if (p == nullptr) continue;
         // Step (3): t'[Si] := p[Si]; C := C ∪ Si. On a consistent state the
         // shared attributes agree; a clash means the state itself is

@@ -1,15 +1,16 @@
 // Algorithm 4 (paper §3.3.1): extend a tuple given on a key K as far as
 // possible using the key dependencies and the raw state — each step is one
-// single-tuple conjunctive selection σ_{Ki='k'}(Si) answered by the
-// StateKeyIndex. On a consistent state of a split-free key-equivalent
-// scheme, the result is the unique total tuple of the representative
-// instance embedding the key value (Lemma 3.3).
+// single-tuple conjunctive selection σ_{Ki='k'}(Si), answered in place by
+// the relation's key table. On a consistent state of a split-free
+// key-equivalent scheme, the result is the unique total tuple of the
+// representative instance embedding the key value (Lemma 3.3).
 
 #ifndef IRD_CORE_TUPLE_EXTENSION_H_
 #define IRD_CORE_TUPLE_EXTENSION_H_
 
+#include <vector>
+
 #include "core/maintain_scratch.h"
-#include "core/state_key_index.h"
 #include "relation/database_state.h"
 
 namespace ird {
@@ -21,14 +22,15 @@ struct ExtensionStats {
   size_t extensions = 0;
 };
 
-// Runs Algorithm 4 from `seed`, a tuple on a key of some scheme in the
-// index's pool. Returns the extended tuple t' on C. Fails with
-// kInconsistent only if the underlying state is itself inconsistent (two
-// state tuples disagreeing on attributes the chase would equate).
-// `scratch` (optional) recycles the per-probe restriction and join buffers
-// across calls.
-Result<PartialTuple> ExtendTuple(const DatabaseScheme& scheme,
-                                 const StateKeyIndex& index,
+// Runs Algorithm 4 from `seed`, a tuple on a key of some relation in
+// `pool`, over the relations of `pool` in `state`, whose keys must be
+// indexed (DatabaseState::IndexKeys). Returns the extended tuple t' on C.
+// Fails with kInconsistent only if the underlying state is itself
+// inconsistent (two state tuples disagreeing on attributes the chase
+// would equate). `scratch` (optional) recycles the join buffer across
+// calls.
+Result<PartialTuple> ExtendTuple(const DatabaseState& state,
+                                 const std::vector<size_t>& pool,
                                  const PartialTuple& seed,
                                  ExtensionStats* stats = nullptr,
                                  MaintainScratch* scratch = nullptr);

@@ -16,7 +16,6 @@
 #include "core/representative_index.h"
 #include "core/sharded_maintainer.h"
 #include "core/split.h"
-#include "core/state_key_index.h"
 #include "core/total_projection.h"
 #include "engine/scheme_analysis.h"
 #include "oracle/chase_check.h"
@@ -307,25 +306,21 @@ class Comparator {
 
     // Maintenance kernels vs re-chasing exhaustively, each insert judged
     // against the initial state: Algorithm 2 on the representative
-    // instance, Algorithm 5 on the raw-state key indexes, and the §3.2
-    // expression lookup.
-    std::vector<AttributeSet> all_keys;
+    // instance, Algorithm 5 on a key-indexed copy of the raw state, and the
+    // §3.2 expression lookup.
     std::optional<ExpressionLookupPlan> plan;
-    if (ke) {
-      std::vector<size_t> pool(scheme_.size());
-      for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
-      all_keys = DistinctPoolKeys(scheme_, pool);
-      plan.emplace(ExpressionLookupPlan::Build(scheme_));
-    }
-    std::optional<StateKeyIndex> key_index;
+    if (ke) plan.emplace(ExpressionLookupPlan::Build(scheme_));
+    std::vector<size_t> pool(scheme_.size());
+    for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
+    std::optional<DatabaseState> keyed;
     if (ctm) {
-      Result<StateKeyIndex> index = StateKeyIndex::Build(state);
-      if (index.ok()) {
-        key_index.emplace(std::move(index).value());
-      } else {
+      keyed.emplace(state);
+      Status indexed = keyed->IndexKeys(pool);
+      if (!indexed.ok()) {
         Report("maintenance/alg5",
-               "StateKeyIndex::Build failed on a consistent state: " +
-                   index.status().ToString());
+               "IndexKeys failed on a consistent state: " +
+                   indexed.ToString());
+        keyed.reset();
       }
     }
 
@@ -341,8 +336,7 @@ class Comparator {
              "chase/maintenance",
              "optimized chase disagrees with exhaustive chase on " + which);
       if (rep.has_value()) {
-        Expect(CheckInsertKeyEquivalent(scheme_, all_keys, *rep, ins.rel,
-                                        ins.tuple)
+        Expect(CheckInsertKeyEquivalent(scheme_, *rep, ins.rel, ins.tuple)
                        .ok() == truth,
                "maintenance/alg2", "Algorithm 2 misjudges " + which);
       }
@@ -352,9 +346,8 @@ class Comparator {
         Expect(expr.ok() == truth, "maintenance/expressions",
                "§3.2 expression lookup misjudges " + which);
       }
-      if (key_index.has_value()) {
-        Expect(CheckInsertCtm(scheme_, *key_index, ins.rel, ins.tuple).ok() ==
-                   truth,
+      if (keyed.has_value()) {
+        Expect(CheckInsertCtm(*keyed, pool, ins.rel, ins.tuple).ok() == truth,
                "maintenance/alg5", "Algorithm 5 misjudges " + which);
       }
     }

@@ -33,6 +33,14 @@ DatabaseState DatabaseState::Restrict(
   return out;
 }
 
+Status DatabaseState::IndexKeys(const std::vector<size_t>& pool) {
+  for (size_t i : pool) {
+    IRD_RETURN_IF_ERROR(
+        mutable_relation(i).IndexKeys(scheme_.relation(i).keys));
+  }
+  return OkStatus();
+}
+
 void DatabaseState::SetRelation(size_t i, PartialRelation rel) {
   IRD_CHECK(i < relations_.size());
   IRD_CHECK(rel.attrs() == relations_[i].attrs());

@@ -44,6 +44,12 @@ class DatabaseState {
   // empty, so relation indices remain valid across the restriction).
   DatabaseState Restrict(const std::vector<size_t>& pool) const;
 
+  // Indexes each relation of `pool` under its declared keys
+  // (PartialRelation::IndexKeys): the access structure of Algorithm 4's
+  // single-tuple selections. Fails with kInconsistent on a local key
+  // violation.
+  Status IndexKeys(const std::vector<size_t>& pool);
+
   // Replaces relation i's contents wholesale (the fan-in primitive for
   // reassembling a state from block substates). `rel.attrs()` must equal
   // the scheme's attribute set for relation i.

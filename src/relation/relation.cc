@@ -1,84 +1,51 @@
 #include "relation/relation.h"
 
-#include <algorithm>
-#include <bit>
-#include <limits>
 #include <unordered_map>
 
 #include "obs/obs.h"
 
 namespace ird {
 
-namespace {
-
-constexpr uint32_t kEmptyRow = std::numeric_limits<uint32_t>::max();
-constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
-constexpr size_t kMinSlots = 16;
-
-// Fibonacci hashing: the top bits of h * 2^64/phi pick the home slot, so
-// tuple hashes whose low bits cluster still spread over the table.
-size_t HomeSlot(uint64_t h, size_t capacity) {
-  return static_cast<size_t>((h * 0x9e3779b97f4a7c15ull) >>
-                             (64 - std::countr_zero(capacity)));
-}
-
-}  // namespace
-
 size_t PartialRelation::FindSlot(const PartialTuple& tuple, uint64_t h,
                                  size_t* probes) const {
-  if (slots_.empty()) return kNoSlot;
-  const size_t mask = slots_.size() - 1;
-  for (size_t slot = HomeSlot(h, slots_.size());; slot = (slot + 1) & mask) {
-    ++*probes;
-    uint32_t row = slots_[slot];
-    if (row == kEmptyRow ||
-        (hashes_[row] == h && tuples_[row] == tuple)) {
-      return slot;
-    }
-  }
+  return dedup_.Find(
+      h,
+      [&](uint32_t row) { return hashes_[row] == h && tuples_[row] == tuple; },
+      probes);
 }
 
-bool PartialRelation::Holds(size_t slot) const {
-  return slot != kNoSlot && slots_[slot] != kEmptyRow;
-}
-
-size_t PartialRelation::FreeSlot(uint64_t h) const {
-  const size_t mask = slots_.size() - 1;
-  size_t slot = HomeSlot(h, slots_.size());
-  while (slots_[slot] != kEmptyRow) slot = (slot + 1) & mask;
-  return slot;
-}
-
-void PartialRelation::Grow() {
-  std::vector<uint32_t> old = std::move(slots_);
-  slots_.assign(std::max(kMinSlots, std::bit_ceil(2 * size())), kEmptyRow);
-  for (uint32_t row : old) {
-    if (row != kEmptyRow) slots_[FreeSlot(hashes_[row])] = row;
-  }
+uint32_t PartialRelation::IndexRow(KeyTable& table, uint32_t row) {
+  const PartialTuple& tuple = tuples_[row];
+  const uint64_t h = tuple.HashOn(table.key);
+  const size_t slot = table.rows.Find(h, [&](uint32_t r) {
+    return tuples_[r].AgreesOn(tuple, table.key);
+  });
+  const uint32_t holder = table.rows.RowAt(slot);
+  if (holder != RowTable::kNoRow) return holder;
+  table.rows.Insert(slot, row, h, [&](uint32_t r) {
+    return tuples_[r].HashOn(table.key);
+  });
+  return row;
 }
 
 template <typename T>
 void PartialRelation::Append(T&& tuple, uint64_t h, bool index,
                              size_t slot) {
-  IRD_CHECK_MSG(size() < kEmptyRow, "relation exceeds 2^32 - 1 rows");
+  IRD_CHECK_MSG(size() < RowTable::kNoRow, "relation exceeds 2^32 - 1 rows");
   const uint32_t row = static_cast<uint32_t>(size());
   tuples_.push_back(std::forward<T>(tuple));
   hashes_.push_back(h);
   if (!index) return;
-  if (2 * size() > slots_.size()) {
-    Grow();
-    slot = FreeSlot(h);
-  }
-  slots_[slot] = row;
+  dedup_.Insert(slot, row, h, [&](uint32_t r) { return hashes_[r]; });
+  for (KeyTable& table : keys_) IndexRow(table, row);
 }
 
 void PartialRelation::Add(PartialTuple tuple) {
   IRD_CHECK_MSG(tuple.attrs() == attrs_,
                 "tuple attribute set must match the relation's");
   const uint64_t h = tuple.Hash();
-  size_t probes = 0;
-  const size_t slot = FindSlot(tuple, h, &probes);
-  Append(std::move(tuple), h, !Holds(slot), slot);
+  const size_t slot = FindSlot(tuple, h, nullptr);
+  Append(std::move(tuple), h, dedup_.RowAt(slot) == RowTable::kNoRow, slot);
 }
 
 template <typename T>
@@ -89,7 +56,7 @@ bool PartialRelation::InsertUnique(T&& tuple) {
   size_t probes = 0;
   const size_t slot = FindSlot(tuple, h, &probes);
   IRD_COUNT_ADD(relation.dedup_probes, probes);
-  if (Holds(slot)) return false;
+  if (dedup_.RowAt(slot) != RowTable::kNoRow) return false;
   Append(std::forward<T>(tuple), h, true, slot);
   return true;
 }
@@ -106,19 +73,52 @@ bool PartialRelation::Contains(const PartialTuple& tuple) const {
   size_t probes = 0;
   const size_t slot = FindSlot(tuple, tuple.Hash(), &probes);
   IRD_COUNT_ADD(relation.dedup_probes, probes);
-  return Holds(slot);
+  return dedup_.RowAt(slot) != RowTable::kNoRow;
+}
+
+Status PartialRelation::IndexKeys(const std::vector<AttributeSet>& keys) {
+  keys_.clear();
+  for (const AttributeSet& key : keys) {
+    IRD_CHECK_MSG(key.IsSubsetOf(attrs_), "key outside the relation scheme");
+    keys_.push_back(KeyTable{key, {}});
+  }
+  for (KeyTable& table : keys_) {
+    for (uint32_t row = 0; row < size(); ++row) {
+      const uint32_t holder = IndexRow(table, row);
+      if (holder != row && tuples_[holder] != tuples_[row]) {
+        keys_.clear();
+        return Inconsistent("key violation inside one relation");
+      }
+    }
+  }
+  return OkStatus();
+}
+
+const PartialTuple* PartialRelation::FindByKey(
+    const AttributeSet& key, const PartialTuple& tuple) const {
+  for (const KeyTable& table : keys_) {
+    if (table.key != key) continue;
+    const uint32_t row = table.rows.RowAt(
+        table.rows.Find(tuple.HashOn(key), [&](uint32_t r) {
+          return tuples_[r].AgreesOn(tuple, key);
+        }));
+    return row == RowTable::kNoRow ? nullptr : &tuples_[row];
+  }
+  IRD_CHECK_MSG(false, "FindByKey with a key the relation does not index");
+  return nullptr;
 }
 
 bool PartialRelation::SetEquals(const PartialRelation& other) const {
   if (attrs_ != other.attrs_) return false;
-  size_t probes = 0;
   for (size_t row = 0; row < size(); ++row) {
-    if (!other.Holds(other.FindSlot(tuples_[row], hashes_[row], &probes))) {
+    if (other.dedup_.RowAt(other.FindSlot(tuples_[row], hashes_[row],
+                                          nullptr)) == RowTable::kNoRow) {
       return false;
     }
   }
   for (size_t row = 0; row < other.size(); ++row) {
-    if (!Holds(FindSlot(other.tuples_[row], other.hashes_[row], &probes))) {
+    if (dedup_.RowAt(FindSlot(other.tuples_[row], other.hashes_[row],
+                              nullptr)) == RowTable::kNoRow) {
       return false;
     }
   }

@@ -2,13 +2,16 @@
 // Serves both as the relations of a database state (attrs = a relation
 // scheme) and as intermediate results of relational-algebra evaluation.
 //
-// Set semantics run through an open-addressing dedup index: a
-// power-of-two table of row ids probed linearly from a hash-derived home
-// slot, with one stored 64-bit hash per row. The table keeps at least
-// twice as many slots as rows (load <= 1/2), so AddUnique and Contains
-// are O(1) expected and SetEquals is O(n). Only the first copy of a tuple
-// is indexed; later copies appended with Add are kept in tuples() but not
-// entered into the table, so probe chains stay short.
+// Set semantics run through a dedup index, a RowTable keyed by one stored
+// 64-bit hash per row, so AddUnique and Contains are O(1) expected and
+// SetEquals is O(n). Only the first copy of a tuple is indexed; later
+// copies appended with Add are kept in tuples() but not entered into the
+// table, so probe chains stay short.
+//
+// A relation of a database state can also index its declared keys
+// (IndexKeys): one RowTable per key, mapping each key value to the first
+// row holding it. These answer the single-tuple selections σ_{K='k'}(S)
+// of Algorithm 4 in O(1) expected time, in place on the relation.
 
 #ifndef IRD_RELATION_RELATION_H_
 #define IRD_RELATION_RELATION_H_
@@ -17,8 +20,10 @@
 #include <vector>
 
 #include "base/attribute_set.h"
+#include "base/status.h"
 #include "fd/fd_set.h"
 #include "relation/partial_tuple.h"
+#include "relation/row_table.h"
 
 namespace ird {
 
@@ -34,11 +39,13 @@ class PartialRelation {
   bool empty() const { return tuples_.empty(); }
 
   // Appends `tuple` (its attribute set must equal attrs()); duplicates are
-  // allowed — use AddUnique for set semantics.
+  // allowed — use AddUnique for set semantics. A new tuple is entered into
+  // every key table whose key value no earlier row holds.
   void Add(PartialTuple tuple);
 
-  // Appends only if not already present. Returns true if added. The
-  // const& form copies the tuple only when it is new.
+  // Appends only if not already present, keeping the key tables current
+  // as Add does. Returns true if added. The const& form copies the tuple
+  // only when it is new.
   bool AddUnique(const PartialTuple& tuple);
   bool AddUnique(PartialTuple&& tuple);
 
@@ -48,6 +55,17 @@ class PartialRelation {
   }
 
   bool Contains(const PartialTuple& tuple) const;
+
+  // Replaces the key tables with one per key of `keys` (each ⊆ attrs()),
+  // holding every row. Fails with kInconsistent, keeping no key tables,
+  // when two distinct rows agree on a key: a local key violation.
+  Status IndexKeys(const std::vector<AttributeSet>& keys);
+
+  // The first row agreeing with `tuple` on `key`, one of the keys passed
+  // to IndexKeys (`tuple` must be defined on all of it, and may carry
+  // other attributes); nullptr if none. O(1) expected.
+  const PartialTuple* FindByKey(const AttributeSet& key,
+                                const PartialTuple& tuple) const;
 
   // Set-semantics equality (order-insensitive, duplicates collapse).
   bool SetEquals(const PartialRelation& other) const;
@@ -59,28 +77,31 @@ class PartialRelation {
   std::string ToString(const Universe& universe) const;
 
  private:
-  // The slot holding the row equal to `tuple` (hash `h`), or else the
-  // empty slot that ends its probe chain; kNoSlot while the table is
-  // unallocated. Adds the slots inspected to *probes.
+  struct KeyTable {
+    AttributeSet key;
+    RowTable rows;  // the first row holding each value on `key`
+  };
+
+  // The dedup slot holding the row equal to `tuple` (hash `h`), or else
+  // the free slot that ends its probe path. Adds the slots inspected to
+  // *probes when `probes` is given.
   size_t FindSlot(const PartialTuple& tuple, uint64_t h,
                   size_t* probes) const;
-  // True iff `slot`, a FindSlot result, holds a row (the tuple's twin).
-  bool Holds(size_t slot) const;
-  // The first free slot on the probe path of hash `h`.
-  size_t FreeSlot(uint64_t h) const;
-  // Appends a row; when `index`, also enters it into the table at `slot`
-  // (the empty slot FindSlot returned), growing the table first if the
-  // row count would exceed half the capacity.
+  // Enters `row` into `table` unless an earlier row holds its key value;
+  // returns the row that holds it afterwards.
+  uint32_t IndexRow(KeyTable& table, uint32_t row);
+  // Appends a row; when `index`, also enters it into the dedup table at
+  // `slot` (the free slot FindSlot returned) and into the key tables.
   template <typename T>
   void Append(T&& tuple, uint64_t h, bool index, size_t slot);
   template <typename T>
   bool InsertUnique(T&& tuple);
-  void Grow();
 
   AttributeSet attrs_;
   std::vector<PartialTuple> tuples_;
   std::vector<uint64_t> hashes_;  // hashes_[row] == tuples_[row].Hash()
-  std::vector<uint32_t> slots_;   // row ids; kEmptyRow marks a free slot
+  RowTable dedup_;
+  std::vector<KeyTable> keys_;
 };
 
 }  // namespace ird

@@ -119,15 +119,13 @@ TEST(ExpressionMaintenanceTest, AgreesWithAlgorithm2OnStreams) {
     // split-free schemes of the list.
     Result<RepresentativeIndex> index = RepresentativeIndex::Build(state);
     ASSERT_TRUE(index.ok());
-    std::vector<size_t> pool(s.size());
-    for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
     std::vector<InsertInstance> stream =
         MakeInsertStream(s, state, 30, 0.4, 33);
     for (const InsertInstance& ins : stream) {
       Result<PartialTuple> by_expr =
           CheckInsertByExpressions(s, plan, state, ins.rel, ins.tuple);
       Result<PartialTuple> by_index =
-          CheckInsertKeyEquivalent(s, pool, *index, ins.rel, ins.tuple);
+          CheckInsertKeyEquivalent(s, *index, ins.rel, ins.tuple);
       ASSERT_EQ(by_expr.ok(), by_index.ok())
           << ins.tuple.ToString(s.universe());
       if (by_expr.ok()) {

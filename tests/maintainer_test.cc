@@ -4,8 +4,6 @@
 // cases that force Algorithm 2 onto a split-free scheme call the
 // CheckInsertKeyEquivalent kernel on a RepresentativeIndex directly.
 
-#include <numeric>
-
 #include <gtest/gtest.h>
 
 #include "core/ctm_maintainer.h"
@@ -30,23 +28,17 @@ using test::Tuple;
 class Alg2Kernel {
  public:
   explicit Alg2Kernel(const DatabaseState& state)
-      : scheme_(state.scheme()),
-        pool_(scheme_.size()),
-        index_(RepresentativeIndex::Build(state)) {
-    std::iota(pool_.begin(), pool_.end(), 0);
-  }
+      : scheme_(state.scheme()), index_(RepresentativeIndex::Build(state)) {}
 
   bool ok() const { return index_.ok(); }
 
   Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple,
                                    MaintenanceStats* stats = nullptr) const {
-    return CheckInsertKeyEquivalent(scheme_, pool_, *index_, rel, tuple,
-                                    stats);
+    return CheckInsertKeyEquivalent(scheme_, *index_, rel, tuple, stats);
   }
 
  private:
   const DatabaseScheme& scheme_;
-  std::vector<size_t> pool_;
   Result<RepresentativeIndex> index_;
 };
 
@@ -171,16 +163,16 @@ TEST(Algorithm4Test, ExtendsAlongTheChain) {
   state.Insert("R1", {1, 2});
   state.Insert("R2", {2, 3});
   state.Insert("R3", {3, 4});
-  Result<StateKeyIndex> idx = StateKeyIndex::Build(state);
-  ASSERT_TRUE(idx.ok());
+  const std::vector<size_t> pool = test::AllRelations(s);
+  ASSERT_TRUE(state.IndexKeys(pool).ok());
   ExtensionStats stats;
   Result<PartialTuple> t =
-      ExtendTuple(s, *idx, Tuple(s, "A", {1}), &stats);
+      ExtendTuple(state, pool, Tuple(s, "A", {1}), &stats);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->attrs(), Attrs(s, "ABCD"));
   EXPECT_EQ(stats.extensions, 3u);
   // From the middle, both directions extend.
-  Result<PartialTuple> mid = ExtendTuple(s, *idx, Tuple(s, "C", {3}));
+  Result<PartialTuple> mid = ExtendTuple(state, pool, Tuple(s, "C", {3}));
   ASSERT_TRUE(mid.ok());
   EXPECT_EQ(mid->attrs(), Attrs(s, "ABCD"));
 }
@@ -189,9 +181,9 @@ TEST(Algorithm4Test, UnknownKeyValueStaysPut) {
   DatabaseScheme s = test::Example9();
   DatabaseState state(s);
   state.Insert("R1", {1, 2});
-  Result<StateKeyIndex> idx = StateKeyIndex::Build(state);
-  ASSERT_TRUE(idx.ok());
-  Result<PartialTuple> t = ExtendTuple(s, *idx, Tuple(s, "C", {42}));
+  const std::vector<size_t> pool = test::AllRelations(s);
+  ASSERT_TRUE(state.IndexKeys(pool).ok());
+  Result<PartialTuple> t = ExtendTuple(state, pool, Tuple(s, "C", {42}));
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->attrs(), Attrs(s, "C"));
 }
@@ -204,17 +196,16 @@ TEST(Algorithm4Test, Lemma33KeyInterchangeability) {
   opt.entities = 20;
   opt.seed = 3;
   DatabaseState state = MakeConsistentState(s, opt);
-  Result<StateKeyIndex> idx = StateKeyIndex::Build(state);
-  ASSERT_TRUE(idx.ok());
+  const std::vector<size_t> pool = test::AllRelations(s);
+  ASSERT_TRUE(state.IndexKeys(pool).ok());
   for (const auto& [rel, key] : s.AllKeys()) {
     for (const PartialTuple& tuple : state.relation(rel).tuples()) {
-      Result<PartialTuple> t =
-          ExtendTuple(s, *idx, tuple.Restrict(key));
+      Result<PartialTuple> t = ExtendTuple(state, pool, tuple.Restrict(key));
       ASSERT_TRUE(t.ok());
       for (const auto& [rel2, key2] : s.AllKeys()) {
         if (!key2.IsSubsetOf(t->attrs())) continue;
         Result<PartialTuple> t2 =
-            ExtendTuple(s, *idx, t->Restrict(key2));
+            ExtendTuple(state, pool, t->Restrict(key2));
         ASSERT_TRUE(t2.ok());
         EXPECT_EQ(*t2, *t);
       }
@@ -239,6 +230,19 @@ TEST(Algorithm5Test, Example10RejectsTheInsert) {
   ASSERT_TRUE(m->IsCtm());
   EXPECT_FALSE(m->CheckInsert(2, Tuple(s, "AC", {a, c2})).ok());
   EXPECT_TRUE(m->CheckInsert(2, Tuple(s, "AC", {a, c})).ok());
+}
+
+TEST(Algorithm5Test, CreateRejectsLocalKeyViolationUnverified) {
+  // Without the consistency chase, a split-free block still refuses two
+  // tuples of one relation that agree on a key: indexing the relation's
+  // keys rejects them.
+  DatabaseScheme s = test::Example9();
+  DatabaseState state(s);
+  state.Insert("R2", {2, 3});
+  state.Insert("R2", {2, 4});  // B -> C broken inside R2
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state, 1, false);
+  EXPECT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kInconsistent);
 }
 
 TEST(Algorithm5Test, AgreesWithChaseOnStreams) {
@@ -268,7 +272,7 @@ TEST(Algorithm5Test, AgreesWithChaseOnStreams) {
 
 TEST(Algorithm5Test, AppliedInsertsKeepIndexesInSync) {
   // A split-free scheme, so every insert goes through Algorithm 5 and
-  // every accepted one through StateKeyIndex::AddTuple.
+  // every accepted one into the relations' key tables.
   DatabaseScheme s = MakeChainScheme(4);
   StateGenOptions opt;
   opt.entities = 8;
@@ -431,14 +435,14 @@ TEST(MaintainerAgreementTest, Alg2AndAlg5SameVerdicts) {
   opt.seed = 41;
   DatabaseState state = MakeConsistentState(s, opt);
   Alg2Kernel m2(state);
-  Result<StateKeyIndex> keys = StateKeyIndex::Build(state);
   ASSERT_TRUE(m2.ok());
-  ASSERT_TRUE(keys.ok());
+  const std::vector<size_t> pool = test::AllRelations(s);
+  ASSERT_TRUE(state.IndexKeys(pool).ok());
   std::vector<InsertInstance> stream =
       MakeInsertStream(s, state, 50, 0.5, 43);
   for (const InsertInstance& ins : stream) {
     EXPECT_EQ(m2.CheckInsert(ins.rel, ins.tuple).ok(),
-              CheckInsertCtm(s, *keys, ins.rel, ins.tuple).ok());
+              CheckInsertCtm(state, pool, ins.rel, ins.tuple).ok());
   }
 }
 

@@ -291,11 +291,8 @@ TEST(ObsInvariantsTest, Alg2RejectionBoundedByPoolKeys) {
     // representative instance, the whole scheme as its pool.
     Result<RepresentativeIndex> index = RepresentativeIndex::Build(state);
     ASSERT_TRUE(index.ok());
-    std::vector<size_t> pool(scheme.size());
-    for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
     obs::Snapshot delta = Measure([&] {
-      EXPECT_FALSE(
-          CheckInsertKeyEquivalent(scheme, pool, *index, 0, clash).ok());
+      EXPECT_FALSE(CheckInsertKeyEquivalent(scheme, *index, 0, clash).ok());
     });
     EXPECT_EQ(DeltaOf(delta, "maintain.alg2.checks"), 1u)
         << "entities=" << entities;

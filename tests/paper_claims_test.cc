@@ -45,9 +45,9 @@ TEST(PaperClaimsTest, Example5SplitDefeatsRawKeyProbes) {
   EXPECT_FALSE(m->CheckInsert(2, insert).ok());
   // Algorithm 5's probes applied anyway (the scheme is split, so this is
   // outside its precondition): wrongly accepts.
-  Result<StateKeyIndex> idx = StateKeyIndex::Build(state);
-  ASSERT_TRUE(idx.ok());
-  Result<PartialTuple> q = CheckInsertCtm(s, *idx, 2, insert);
+  const std::vector<size_t> pool = test::AllRelations(s);
+  ASSERT_TRUE(state.IndexKeys(pool).ok());
+  Result<PartialTuple> q = CheckInsertCtm(state, pool, 2, insert);
   EXPECT_TRUE(q.ok()) << "raw key probes cannot see through the split key";
 }
 
@@ -62,12 +62,12 @@ TEST(PaperClaimsTest, SplitFreeMakesRawKeyProbesExact) {
     opt.entities = 20;
     opt.seed = 83;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<StateKeyIndex> idx = StateKeyIndex::Build(state);
-    ASSERT_TRUE(idx.ok());
+    const std::vector<size_t> pool = test::AllRelations(s);
+    ASSERT_TRUE(state.IndexKeys(pool).ok());
     std::vector<InsertInstance> stream =
         MakeInsertStream(s, state, 30, 0.5, 87);
     for (const InsertInstance& ins : stream) {
-      EXPECT_EQ(CheckInsertCtm(s, *idx, ins.rel, ins.tuple).ok(),
+      EXPECT_EQ(CheckInsertCtm(state, pool, ins.rel, ins.tuple).ok(),
                 WouldRemainConsistent(state, ins.rel, ins.tuple));
     }
   }

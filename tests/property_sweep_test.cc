@@ -165,8 +165,6 @@ TEST_P(PropertySweep, P2_MaintenanceAgreesWithChase) {
   Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
   ASSERT_TRUE(m.ok());
   std::optional<RepresentativeIndex> rep;
-  std::vector<size_t> pool(scheme_.size());
-  for (size_t i = 0; i < pool.size(); ++i) pool[i] = i;
   if (IsKeyEquivalent(scheme_)) {
     Result<RepresentativeIndex> index = RepresentativeIndex::Build(state);
     ASSERT_TRUE(index.ok());
@@ -180,10 +178,9 @@ TEST_P(PropertySweep, P2_MaintenanceAgreesWithChase) {
     EXPECT_EQ(m->CheckInsert(ins.rel, ins.tuple).ok(), truth)
         << ins.tuple.ToString(scheme_.universe());
     if (rep.has_value()) {
-      EXPECT_EQ(CheckInsertKeyEquivalent(scheme_, pool, *rep, ins.rel,
-                                         ins.tuple)
-                    .ok(),
-                truth);
+      EXPECT_EQ(
+          CheckInsertKeyEquivalent(scheme_, *rep, ins.rel, ins.tuple).ok(),
+          truth);
     }
   }
 }

@@ -219,6 +219,115 @@ TEST(PartialRelationTest, DifferentialAgainstStdSet) {
   EXPECT_TRUE(expected.SetEquals(r));
 }
 
+// The key tables against a linear scan: FindByKey answers the first row
+// agreeing with the probe on the key, whatever else the probe carries.
+// 3,000 Add / AddUnique operations on a 40-value domain put about 1,350
+// distinct values on each two-attribute key, so each key table crosses
+// seven resizes (16 slots doubling to 2048), with duplicates and rows
+// that break a key (which stay out of its table) along the way.
+TEST(PartialRelationTest, KeyLookupsAgreeWithLinearScan) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_int_distribution<Value> value(0, 39);
+  const AttributeSet ab{0, 1};
+  const AttributeSet bc{1, 2};
+  PartialRelation r(AttributeSet{0, 1, 2});
+  ASSERT_TRUE(r.IndexKeys({ab, bc}).ok());
+  auto first_agreeing = [&](const AttributeSet& key,
+                            const PartialTuple& t) -> const PartialTuple* {
+    for (const PartialTuple& row : r.tuples()) {
+      if (row.AgreesOn(t, key)) return &row;
+    }
+    return nullptr;
+  };
+  std::set<std::vector<Value>> ab_values;
+  for (int i = 0; i < 3000; ++i) {
+    PartialTuple t(AttributeSet{0, 1, 2}, {value(rng), value(rng), value(rng)});
+    if (rng() % 2 == 0) {
+      r.Add(t);
+    } else {
+      r.AddUnique(t);
+    }
+    ab_values.insert({t.At(0), t.At(1)});
+    PartialTuple probe(AttributeSet{0, 1, 2, 5},
+                       {value(rng), value(rng), value(rng), 7});
+    for (const AttributeSet& key : {ab, bc}) {
+      ASSERT_EQ(r.FindByKey(key, t), first_agreeing(key, t)) << "op " << i;
+      ASSERT_EQ(r.FindByKey(key, probe), first_agreeing(key, probe))
+          << "op " << i;
+    }
+  }
+  EXPECT_GT(ab_values.size(), 1024u);
+}
+
+// Copies and assignments carry their own key tables: each answers with
+// its own rows, and growing one leaves the other's answers unchanged.
+TEST(PartialRelationTest, CopyMoveAndAssignmentKeepIndependentKeyTables) {
+  const AttributeSet a{0};
+  PartialRelation r(AttributeSet{0, 1});
+  ASSERT_TRUE(r.IndexKeys({a}).ok());
+  for (Value i = 0; i < 100; ++i) r.AddUnique(Pair(i, i * 3));
+
+  PartialRelation copy = r;
+  EXPECT_TRUE(copy.AddUnique(Pair(500, 1)));
+  EXPECT_TRUE(r.AddUnique(Pair(600, 2)));
+  EXPECT_EQ(r.FindByKey(a, Pair(500, 0)), nullptr);
+  EXPECT_EQ(copy.FindByKey(a, Pair(600, 0)), nullptr);
+  for (Value i = 0; i < 100; ++i) {
+    EXPECT_EQ(copy.FindByKey(a, Pair(i, -1)), &copy.tuples()[i]);
+    EXPECT_EQ(r.FindByKey(a, Pair(i, -1)), &r.tuples()[i]);
+  }
+
+  PartialRelation moved = std::move(copy);
+  for (Value i = 1000; i < 1100; ++i) moved.AddUnique(Pair(i, i));
+  EXPECT_EQ(moved.FindByKey(a, Pair(500, 0)), &moved.tuples()[100]);
+  EXPECT_EQ(moved.FindByKey(a, Pair(1050, 0)), &moved.tuples()[151]);
+  EXPECT_EQ(moved.FindByKey(a, Pair(600, 0)), nullptr);
+
+  PartialRelation assigned(AttributeSet{0, 1});
+  ASSERT_TRUE(assigned.IndexKeys({a}).ok());
+  assigned.AddUnique(Pair(-1, -1));
+  assigned = r;
+  EXPECT_EQ(assigned.FindByKey(a, Pair(-1, 0)), nullptr);
+  EXPECT_EQ(assigned.FindByKey(a, Pair(600, 0)), &assigned.tuples()[100]);
+  EXPECT_TRUE(assigned.AddUnique(Pair(700, 7)));
+  EXPECT_EQ(r.FindByKey(a, Pair(700, 0)), nullptr);
+
+  PartialRelation move_assigned(AttributeSet{0, 1});
+  move_assigned = std::move(assigned);
+  EXPECT_EQ(move_assigned.FindByKey(a, Pair(700, 0)),
+            &move_assigned.tuples()[101]);
+}
+
+// IndexKeys rejects two distinct rows agreeing on a key, a local key
+// violation, but not a duplicate row; after a rejection the relation
+// keeps no key tables. A row added later that breaks a key leaves the
+// key's first row in place.
+TEST(PartialRelationTest, IndexKeysRejectsALocalKeyViolation) {
+  const AttributeSet a{0};
+  PartialRelation r(AttributeSet{0, 1});
+  r.Add(Pair(1, 2));
+  r.Add(Pair(1, 2));
+  r.Add(Pair(3, 4));
+  ASSERT_TRUE(r.IndexKeys({a}).ok());
+  EXPECT_EQ(r.FindByKey(a, Pair(1, 0)), &r.tuples()[0]);
+  r.Add(Pair(1, 9));
+  EXPECT_EQ(r.FindByKey(a, Pair(1, 0)), &r.tuples()[0]);
+  EXPECT_EQ(r.IndexKeys({a}).code(), StatusCode::kInconsistent);
+  const AttributeSet ab{0, 1};
+  ASSERT_TRUE(r.IndexKeys({ab}).ok());
+  EXPECT_EQ(r.FindByKey(ab, Pair(1, 9)), &r.tuples()[3]);
+
+  DatabaseScheme s = test::Example9();
+  DatabaseState state(s);
+  state.Insert("R1", {1, 2});
+  state.Insert("R2", {2, 3});
+  ASSERT_TRUE(state.IndexKeys(test::AllRelations(s)).ok());
+  state.Insert("R2", {5, 3});  // C -> B broken inside R2
+  EXPECT_EQ(state.IndexKeys(test::AllRelations(s)).code(),
+            StatusCode::kInconsistent);
+  EXPECT_TRUE(state.IndexKeys({0}).ok());
+}
+
 TEST(PartialRelationTest, SatisfiesFds) {
   PartialRelation r(AttributeSet{0, 1});
   r.Add({1, 2});

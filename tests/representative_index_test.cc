@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <random>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/representative_index.h"
@@ -117,6 +121,35 @@ TEST(RepresentativeIndexTest, IncrementalInsertMatchesRebuild) {
                       Attrs(s, "AD")});
 }
 
+// An insert that bridges two live rows merges them: the tuple joins the
+// row holding its B value, which then agrees with the other row on C. The
+// merged-away row's slots pass to the survivor, so a lookup by any key of
+// either old row finds the one surviving row.
+TEST(RepresentativeIndexTest, BridgingInsertMergesTwoLiveRows) {
+  DatabaseScheme s = test::Example9();
+  DatabaseState state(s);
+  state.Insert("R1", {1, 2});  // A=1 B=2
+  state.Insert("R3", {3, 4});  // C=3 D=4
+  Result<RepresentativeIndex> idx = RepresentativeIndex::Build(state);
+  ASSERT_TRUE(idx.ok());
+  ASSERT_EQ(idx->RowCount(), 2u);
+  ASSERT_TRUE(idx->InsertTuple(1, Tuple(s, "BC", {2, 3})).ok());
+  ASSERT_EQ(idx->RowCount(), 1u);
+  const PartialTuple* survivor = idx->Rows()[0];
+  EXPECT_EQ(survivor->attrs(), Attrs(s, "ABCD"));
+  EXPECT_EQ(survivor->values(), (std::vector<Value>{1, 2, 3, 4}));
+  EXPECT_EQ(idx->Lookup(Attrs(s, "A"), Tuple(s, "A", {1})), survivor);
+  EXPECT_EQ(idx->Lookup(Attrs(s, "B"), Tuple(s, "B", {2})), survivor);
+  EXPECT_EQ(idx->Lookup(Attrs(s, "C"), Tuple(s, "C", {3})), survivor);
+  EXPECT_EQ(idx->Lookup(Attrs(s, "D"), Tuple(s, "D", {4})), survivor);
+  // The survivor keeps absorbing inserts through its handed-over keys.
+  ASSERT_TRUE(idx->InsertTuple(3, Tuple(s, "DE", {4, 5})).ok());
+  EXPECT_EQ(idx->RowCount(), 1u);
+  EXPECT_EQ(idx->Lookup(Attrs(s, "E"), Tuple(s, "E", {5})), survivor);
+  EXPECT_EQ(survivor->attrs(), Attrs(s, "ABCDE"));
+  EXPECT_FALSE(idx->InsertTuple(2, Tuple(s, "CD", {3, 9})).ok());
+}
+
 TEST(RepresentativeIndexTest, Example6RepresentativeInstance) {
   // The state tableau of Example 6 is already chased: three fragments.
   DatabaseScheme s = test::Example6();
@@ -167,6 +200,48 @@ TEST(RepresentativeIndexTest, MatchesChaseOnGeneratedStates) {
       targets.push_back(s.AllAttrs());
       ExpectMatchesChase(state, *idx, targets);
     }
+  }
+}
+
+// Inserting a generated state's tuples one by one, in shuffled order,
+// into the index of the empty state lands on the representative instance
+// Build computes, and both equal the chase.
+TEST(RepresentativeIndexTest, ShuffledIncrementalInsertsMatchBuildAndChase) {
+  std::vector<DatabaseScheme> schemes = {MakeChainScheme(4),
+                                         MakeSplitScheme(2), test::Example4(),
+                                         test::Example6(), test::Example9()};
+  std::mt19937_64 rng(20261019);
+  for (const DatabaseScheme& s : schemes) {
+    StateGenOptions opt;
+    opt.entities = 40;
+    opt.coverage = 0.6;
+    opt.seed = 61;
+    DatabaseState state = MakeConsistentState(s, opt);
+    std::vector<std::pair<size_t, PartialTuple>> stream;
+    for (size_t rel = 0; rel < s.size(); ++rel) {
+      for (const PartialTuple& t : state.relation(rel).tuples()) {
+        stream.emplace_back(rel, t);
+      }
+    }
+    std::shuffle(stream.begin(), stream.end(), rng);
+    Result<RepresentativeIndex> incremental =
+        RepresentativeIndex::Build(DatabaseState(s));
+    ASSERT_TRUE(incremental.ok());
+    for (const auto& [rel, t] : stream) {
+      ASSERT_TRUE(incremental->InsertTuple(rel, t).ok());
+    }
+    Result<RepresentativeIndex> built = RepresentativeIndex::Build(state);
+    ASSERT_TRUE(built.ok());
+    EXPECT_EQ(incremental->RowCount(), built->RowCount());
+    std::vector<AttributeSet> targets = {s.AllAttrs()};
+    for (const RelationScheme& r : s.relations()) targets.push_back(r.attrs);
+    for (const AttributeSet& key : built->keys()) targets.push_back(key);
+    for (const AttributeSet& x : targets) {
+      EXPECT_TRUE(incremental->TotalProjection(x).SetEquals(
+          built->TotalProjection(x)))
+          << "X=" << s.universe().Format(x);
+    }
+    ExpectMatchesChase(state, *incremental, targets);
   }
 }
 

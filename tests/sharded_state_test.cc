@@ -80,7 +80,8 @@ std::map<std::string, uint64_t> CounterMap(const obs::Snapshot& snapshot) {
   return out;
 }
 
-uint64_t DeltaOf(const obs::Snapshot& delta, std::string_view name) {
+[[maybe_unused]] uint64_t DeltaOf(const obs::Snapshot& delta,
+                                  std::string_view name) {
   for (const auto& [counter, value] : delta.counters) {
     if (counter == name) return value;
   }

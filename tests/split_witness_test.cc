@@ -77,10 +77,10 @@ TEST(SplitWitnessTest, RawKeyProbesMissTheWitness) {
   ASSERT_EQ(split.size(), 1u);
   Result<SplitWitness> w = BuildSplitWitness(s, split[0]);
   ASSERT_TRUE(w.ok());
-  Result<StateKeyIndex> idx = StateKeyIndex::Build(w->state);
-  ASSERT_TRUE(idx.ok());
+  const std::vector<size_t> pool = test::AllRelations(s);
+  ASSERT_TRUE(w->state.IndexKeys(pool).ok());
   Result<PartialTuple> probe_verdict =
-      CheckInsertCtm(s, *idx, w->insert_rel, w->insert);
+      CheckInsertCtm(w->state, pool, w->insert_rel, w->insert);
   EXPECT_TRUE(probe_verdict.ok())
       << "the split derivation is invisible to raw key probes";
   EXPECT_FALSE(WouldRemainConsistent(w->state, w->insert_rel, w->insert));

@@ -4,6 +4,7 @@
 #ifndef IRD_TESTS_TEST_UTIL_H_
 #define IRD_TESTS_TEST_UTIL_H_
 
+#include <numeric>
 #include <vector>
 
 #include "relation/database_state.h"
@@ -153,6 +154,13 @@ inline DatabaseScheme Example13() {
   s.AddRelation("R7", "EF", {"E"});
   s.AddRelation("R8", "FB", {"F"});
   return s;
+}
+
+// Every relation of `scheme`, in order: the pool of a whole-scheme run.
+inline std::vector<size_t> AllRelations(const DatabaseScheme& scheme) {
+  std::vector<size_t> pool(scheme.size());
+  std::iota(pool.begin(), pool.end(), 0);
+  return pool;
 }
 
 // Builds the attribute set for single-letter names already interned in the
