@@ -28,6 +28,7 @@
 #include <cstring>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -256,6 +257,15 @@ int Run(const Args& args) {
       const Disagreement& first = cand.found[0];
       std::fprintf(stderr, "[%s/%zu] %s: %s\n", family.name, i,
                    first.routine.c_str(), first.detail.c_str());
+      // Every other routine that disagrees on the scheme, once each: a
+      // fault in code several routines run shows in all of them.
+      std::set<std::string> others;
+      for (const Disagreement& d : cand.found) {
+        if (d.routine != first.routine) others.insert(d.routine);
+      }
+      for (const std::string& routine : others) {
+        std::fprintf(stderr, "  also: %s\n", routine.c_str());
+      }
       DifferentialOptions opt;
       opt.seed = args.seed + i;
       std::string name = Sanitize(first.routine) + "-" + family.name + "-s" +

@@ -1,7 +1,10 @@
-# Runs PROGRAM on INPUT and fails unless its stdout equals the committed
-# EXPECTED file byte for byte:
-#   cmake -DPROGRAM=<exe> -DINPUT=<script> -DEXPECTED=<file> -P compare_output.cmake
+# Runs PROGRAM on INPUT inside DIR (so a path the program echoes stays
+# relative) and fails unless its stdout equals the committed EXPECTED file
+# byte for byte:
+#   cmake -DPROGRAM=<exe> -DDIR=<dir> -DINPUT=<file in dir>
+#         -DEXPECTED=<file> -P compare_output.cmake
 execute_process(COMMAND ${PROGRAM} ${INPUT}
+                WORKING_DIRECTORY ${DIR}
                 OUTPUT_VARIABLE actual
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)

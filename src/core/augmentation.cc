@@ -22,18 +22,8 @@ Status Augment(DatabaseScheme* scheme, std::string name,
   added.name = std::move(name);
   added.attrs = attrs;
   // Keys embedded in the new scheme, if any.
-  for (const RelationScheme& r : scheme->relations()) {
-    for (const AttributeSet& key : r.keys) {
-      if (!key.IsSubsetOf(attrs)) continue;
-      bool known = false;
-      for (const AttributeSet& k : added.keys) {
-        if (k == key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) added.keys.push_back(key);
-    }
+  for (const AttributeSet& key : scheme->DistinctKeys()) {
+    if (key.IsSubsetOf(attrs)) added.keys.push_back(key);
   }
   if (added.keys.empty()) {
     // Case 1 of Theorem 4.3: S embeds no key of R; its only key is itself.

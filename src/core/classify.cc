@@ -14,7 +14,17 @@ SchemeClassification ClassifyScheme(SchemeAnalysis& analysis,
   const DatabaseScheme& scheme = analysis.scheme();
   SchemeClassification c;
   c.valid = scheme.Validate();
-  c.bcnf = scheme.IsBcnf();
+  for (const RelationScheme& r : scheme.relations()) {
+    if (r.attrs.Count() > DatabaseScheme::kMaxBcnfAttrs) {
+      c.bcnf_not_tested =
+          r.name + " has " + std::to_string(r.attrs.Count()) +
+          " attributes; the test enumerates the attribute subsets of "
+          "relations with at most " +
+          std::to_string(DatabaseScheme::kMaxBcnfAttrs);
+      break;
+    }
+  }
+  if (c.bcnf_not_tested.empty()) c.bcnf = scheme.IsBcnf();
   c.lossless = IsLossless(analysis);
   c.independent = IsIndependent(analysis);
   c.key_equivalent = IsKeyEquivalent(analysis);
@@ -23,7 +33,14 @@ SchemeClassification ClassifyScheme(SchemeAnalysis& analysis,
     // The γ-cycle search scales to more edges than the u.m.c. form (whose
     // Bachman closure can outgrow its guard); the two recognizers are
     // cross-validated in gamma_cycle_test.
-    c.gamma_acyclic = !FindGammaCycle(h).has_value();
+    if (h.edge_count() > kMaxGammaCycleEdges) {
+      c.gamma_not_tested =
+          std::to_string(h.edge_count()) +
+          " relations; the search runs on at most " +
+          std::to_string(kMaxGammaCycleEdges);
+    } else {
+      c.gamma_acyclic = !FindGammaCycle(h).has_value();
+    }
     c.alpha_acyclic = IsAlphaAcyclic(h);
   }
   c.recognition = RecognizeIndependenceReducible(analysis);

@@ -5,7 +5,7 @@
 #ifndef IRD_CORE_CLASSIFY_H_
 #define IRD_CORE_CLASSIFY_H_
 
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/recognition.h"
@@ -30,13 +30,19 @@ struct SchemeClassification {
   bool bounded = false;                  // accepted ⇒ bounded
   bool algebraic_maintainable = false;   // accepted ⇒ algebraic-maintainable
   bool ctm = false;                      // accepted ∧ split-free ⇔ ctm
+  // Why an exponential test did not run: the scheme is past the guard
+  // that bounds it. Empty when the test ran; a test that did not run
+  // leaves its flag false.
+  std::string bcnf_not_tested;
+  std::string gamma_not_tested;
 };
 
 // Rendering lives in diagnostics/render.h (FormatSchemeReport), which pairs
 // the verdicts with witness-backed explanations of every "no".
 
-// Runs every test. `test_acyclicity` can be disabled for schemes too large
-// for the exact γ-acyclicity search.
+// Runs every test; the exponential ones (BCNF, the γ-cycle search) only
+// within their guards, recording the reason when they skip. With
+// `test_acyclicity` false neither acyclicity test runs.
 SchemeClassification ClassifyScheme(const DatabaseScheme& scheme,
                                     bool test_acyclicity = true);
 

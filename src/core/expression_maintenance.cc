@@ -1,7 +1,6 @@
 #include "core/expression_maintenance.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "algebra/expression.h"
 #include "core/key_equivalence.h"
@@ -11,38 +10,25 @@ namespace ird {
 
 ExpressionLookupPlan ExpressionLookupPlan::Build(const DatabaseScheme& scheme,
                                                  std::vector<size_t> pool) {
-  if (pool.empty()) {
-    pool.resize(scheme.size());
-    std::iota(pool.begin(), pool.end(), 0);
-  }
+  pool = scheme.PoolOrAll(pool);
   IRD_CHECK_MSG(IsKeyEquivalentSubset(scheme, pool),
                 "ExpressionLookupPlan requires a key-equivalent (sub)scheme");
   ExpressionLookupPlan plan;
   plan.pool_ = pool;
+  plan.keys_ = scheme.DistinctKeys(pool);
   FdSet ambient = scheme.KeyDependenciesOf(pool);
-  for (size_t i : pool) {
-    for (const AttributeSet& key : scheme.relation(i).keys) {
-      bool known = false;
-      for (const AttributeSet& k : plan.keys_) {
-        if (k == key) {
-          known = true;
-          break;
-        }
-      }
-      if (known) continue;
-      plan.keys_.push_back(key);
-      std::vector<std::vector<size_t>> subsets =
-          AllLosslessSubsetsCovering(scheme, pool, key, ambient);
-      // Largest attribute union first: the first nonempty selection is the
-      // greatest lossless expression of §3.2.
-      std::sort(subsets.begin(), subsets.end(),
-                [&scheme](const std::vector<size_t>& a,
-                          const std::vector<size_t>& b) {
-                  return scheme.UnionAttrs(a).Count() >
-                         scheme.UnionAttrs(b).Count();
-                });
-      plan.subsets_.push_back(std::move(subsets));
-    }
+  for (const AttributeSet& key : plan.keys_) {
+    std::vector<std::vector<size_t>> subsets =
+        AllLosslessSubsetsCovering(scheme, pool, key, ambient);
+    // Largest attribute union first: the first nonempty selection is the
+    // greatest lossless expression of §3.2.
+    std::sort(subsets.begin(), subsets.end(),
+              [&scheme](const std::vector<size_t>& a,
+                        const std::vector<size_t>& b) {
+                return scheme.UnionAttrs(a).Count() >
+                       scheme.UnionAttrs(b).Count();
+              });
+    plan.subsets_.push_back(std::move(subsets));
   }
   return plan;
 }
@@ -153,49 +139,20 @@ Result<PartialTuple> CheckInsertByExpressions(
     const DatabaseScheme& scheme, const ExpressionLookupPlan& plan,
     const DatabaseState& state, size_t rel, const PartialTuple& tuple,
     MaintenanceStats* stats) {
-  IRD_CHECK(tuple.attrs() == scheme.relation(rel).attrs);
-  const std::vector<AttributeSet>& pool_keys = plan.keys();
   // Algorithm 2, with step (4)'s representative-instance probe replaced by
-  // the §3.2 expression lookup.
-  std::vector<bool> processed(pool_keys.size(), false);
-  std::vector<bool> queued(pool_keys.size(), false);
-  std::vector<size_t> unprocessed;
-  AttributeSet closure = scheme.relation(rel).attrs;
-  for (size_t k = 0; k < pool_keys.size(); ++k) {
-    if (pool_keys[k].IsSubsetOf(closure)) {
-      unprocessed.push_back(k);
-      queued[k] = true;
-    }
-  }
-  PartialTuple q = tuple;
-  while (!unprocessed.empty()) {
-    size_t k = unprocessed.back();
-    unprocessed.pop_back();
-    processed[k] = true;
-    if (stats != nullptr) ++stats->keys_processed;
-    const AttributeSet& key = pool_keys[k];
-    PartialTuple key_values = q.Restrict(key);
-    Result<std::optional<PartialTuple>> p =
-        plan.LookupTotalTuple(state, key, key_values);
-    if (!p.ok()) return p.status();
-    if (stats != nullptr) ++stats->lookups;
-    const PartialTuple& v = p->has_value() ? **p : key_values;
-    std::optional<PartialTuple> joined = q.Join(v);
-    if (!joined.has_value()) {
-      return Inconsistent("inserted tuple contradicts the total tuple on " +
-                          scheme.universe().Format(key));
-    }
-    q = std::move(*joined);
-    closure.UnionWith(v.attrs());
-    for (size_t k2 = 0; k2 < pool_keys.size(); ++k2) {
-      if (!processed[k2] && !queued[k2] &&
-          pool_keys[k2].IsSubsetOf(closure)) {
-        unprocessed.push_back(k2);
-        queued[k2] = true;
-      }
-    }
-  }
-  return q;
+  // the §3.2 expression lookup. `found` owns the tuple the last lookup
+  // returned, which the worklist reads until the next lookup.
+  std::optional<PartialTuple> found;
+  return RunAlgorithm2(
+      scheme, plan.keys(), rel, tuple, stats, nullptr,
+      [&](const AttributeSet& key, const PartialTuple& key_values)
+          -> Result<const PartialTuple*> {
+        Result<std::optional<PartialTuple>> p =
+            plan.LookupTotalTuple(state, key, key_values);
+        if (!p.ok()) return p.status();
+        found = std::move(*p);
+        return found.has_value() ? &*found : nullptr;
+      });
 }
 
 }  // namespace ird

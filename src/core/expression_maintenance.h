@@ -40,7 +40,8 @@ class ExpressionLookupPlan {
       const PartialTuple& key_values) const;
 
   const std::vector<size_t>& pool() const { return pool_; }
-  // Distinct keys of the pool (lookup targets).
+  // Distinct keys of the pool (lookup targets), in pool and declaration
+  // order like RepresentativeIndex::keys().
   const std::vector<AttributeSet>& keys() const { return keys_; }
   // Number of lossless expressions precompiled for keys()[k].
   size_t ExpressionCount(size_t k) const { return subsets_[k].size(); }
@@ -53,9 +54,10 @@ class ExpressionLookupPlan {
   std::vector<std::vector<std::vector<size_t>>> subsets_;
 };
 
-// Algorithm 2 with the §3.2 expression lookup: decides whether state ∪
-// {tuple on scheme[rel]} is consistent. The state must be consistent.
-// Returns the extended tuple q on yes, kInconsistent on no.
+// Algorithm 2 with the §3.2 expression lookup (RunAlgorithm2, the worklist
+// CheckInsertKeyEquivalent runs): decides whether state ∪ {tuple on
+// scheme[rel]} is consistent. The state must be consistent. Returns the
+// extended tuple q on yes, kInconsistent on no.
 Result<PartialTuple> CheckInsertByExpressions(
     const DatabaseScheme& scheme, const ExpressionLookupPlan& plan,
     const DatabaseState& state, size_t rel, const PartialTuple& tuple,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 
 #include "obs/obs.h"
 
@@ -59,9 +58,7 @@ const std::vector<std::vector<size_t>>& KeyEquivalentPartition(
   // The root pool is the full scheme; its cover is the analysis's shared
   // full-cover engine, so the per-relation closures computed here are the
   // same memo entries IsLossless and the uniqueness probes consult.
-  std::vector<size_t> root(analysis.scheme().size());
-  std::iota(root.begin(), root.end(), 0);
-  KepRecurse(analysis, root, &out);
+  KepRecurse(analysis, analysis.scheme().PoolOrAll(), &out);
   for (std::vector<size_t>& block : out) {
     std::sort(block.begin(), block.end());
   }

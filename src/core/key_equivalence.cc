@@ -1,18 +1,6 @@
 #include "core/key_equivalence.h"
 
-#include <numeric>
-
 namespace ird {
-
-namespace {
-
-std::vector<size_t> FullPool(const DatabaseScheme& scheme) {
-  std::vector<size_t> pool(scheme.size());
-  std::iota(pool.begin(), pool.end(), 0);
-  return pool;
-}
-
-}  // namespace
 
 SchemeClosure ComputeSchemeClosure(const DatabaseScheme& scheme, size_t j,
                                    const std::vector<size_t>& pool) {
@@ -48,7 +36,7 @@ SchemeClosure ComputeSchemeClosure(const DatabaseScheme& scheme, size_t j,
 }
 
 SchemeClosure ComputeSchemeClosure(const DatabaseScheme& scheme, size_t j) {
-  return ComputeSchemeClosure(scheme, j, FullPool(scheme));
+  return ComputeSchemeClosure(scheme, j, scheme.PoolOrAll());
 }
 
 bool IsKeyEquivalentSubset(const DatabaseScheme& scheme,
@@ -61,7 +49,7 @@ bool IsKeyEquivalentSubset(const DatabaseScheme& scheme,
 }
 
 bool IsKeyEquivalent(const DatabaseScheme& scheme) {
-  return IsKeyEquivalentSubset(scheme, FullPool(scheme));
+  return IsKeyEquivalentSubset(scheme, scheme.PoolOrAll());
 }
 
 bool IsKeyEquivalent(SchemeAnalysis& analysis) {

@@ -1,7 +1,6 @@
 #include "core/recognition.h"
 
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/obs.h"
@@ -15,16 +14,10 @@ DatabaseScheme InducedScheme(
   for (const std::vector<size_t>& block : partition) {
     RelationScheme merged;
     merged.name = 'D' + std::to_string(induced.size() + 1);
-    // Dedupe the block's keys by value; declaration order of the first
-    // occurrence is preserved (rendered output depends on it).
-    std::unordered_set<AttributeSet, AttributeSetHash> seen;
-    for (size_t i : block) {
-      const RelationScheme& r = scheme.relation(i);
-      merged.attrs.UnionWith(r.attrs);
-      for (const AttributeSet& key : r.keys) {
-        if (seen.insert(key).second) merged.keys.push_back(key);
-      }
-    }
+    merged.attrs = scheme.UnionAttrs(block);
+    // The block's keys once each, in declaration order of the first
+    // occurrence (rendered output depends on it).
+    merged.keys = scheme.DistinctKeys(block);
     induced.AddRelation(std::move(merged));
   }
   return induced;

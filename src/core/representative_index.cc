@@ -1,6 +1,5 @@
 #include "core/representative_index.h"
 
-#include <numeric>
 #include <optional>
 
 #include "core/key_equivalence.h"
@@ -9,25 +8,11 @@ namespace ird {
 
 Result<RepresentativeIndex> RepresentativeIndex::Build(
     const DatabaseState& state, std::vector<size_t> pool) {
-  if (pool.empty()) {
-    pool.resize(state.relation_count());
-    std::iota(pool.begin(), pool.end(), 0);
-  }
+  pool = state.scheme().PoolOrAll(pool);
   IRD_CHECK_MSG(IsKeyEquivalentSubset(state.scheme(), pool),
                 "RepresentativeIndex requires a key-equivalent (sub)scheme");
   RepresentativeIndex idx;
-  for (size_t i : pool) {
-    for (const AttributeSet& key : state.scheme().relation(i).keys) {
-      bool known = false;
-      for (const AttributeSet& k : idx.keys_) {
-        if (k == key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) idx.keys_.push_back(key);
-    }
-  }
+  idx.keys_ = state.scheme().DistinctKeys(pool);
   idx.tables_.resize(idx.keys_.size());
   for (size_t i : pool) {
     for (const PartialTuple& tuple : state.relation(i).tuples()) {

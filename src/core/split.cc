@@ -1,7 +1,6 @@
 #include "core/split.h"
 
 #include <deque>
-#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -10,14 +9,6 @@
 namespace ird {
 
 namespace {
-
-std::vector<size_t> PoolOrAll(const DatabaseScheme& scheme,
-                              const std::vector<size_t>& pool) {
-  if (!pool.empty()) return pool;
-  std::vector<size_t> all(scheme.size());
-  std::iota(all.begin(), all.end(), 0);
-  return all;
-}
 
 // The Lemma 3.8 test body: W = pool members not containing K, probed with
 // `closure_of` (so the scheme-only and engine-backed entry points share the
@@ -45,10 +36,9 @@ bool KeySplitIn(const DatabaseScheme& scheme, const AttributeSet& key,
 
 bool IsKeySplit(const DatabaseScheme& scheme, const AttributeSet& key,
                 const std::vector<size_t>& pool) {
-  std::vector<size_t> p = PoolOrAll(scheme, pool);
   FdSet g;
   bool built = false;
-  return KeySplitIn(scheme, key, p,
+  return KeySplitIn(scheme, key, scheme.PoolOrAll(pool),
                     [&](const std::vector<size_t>& w, const AttributeSet& x) {
                       if (!built) {
                         g = scheme.KeyDependenciesOf(w);
@@ -61,25 +51,19 @@ bool IsKeySplit(const DatabaseScheme& scheme, const AttributeSet& key,
 bool IsKeySplit(SchemeAnalysis& analysis, const AttributeSet& key,
                 const std::vector<size_t>& pool) {
   const DatabaseScheme& scheme = analysis.scheme();
-  std::vector<size_t> p = PoolOrAll(scheme, pool);
-  SchemeAnalysis::Cache& cache = analysis.cache();
-  auto cached = cache.key_split.find({p, key});
-  if (cached != cache.key_split.end()) return cached->second;
-  bool split = KeySplitIn(
-      scheme, key, p,
+  return KeySplitIn(
+      scheme, key, scheme.PoolOrAll(pool),
       [&](const std::vector<size_t>& w, const AttributeSet& x) {
         // W is nonempty here (the loop only probes members of W), so the
         // empty-pool-means-full convention of Closure is never tripped.
         return analysis.Closure(w, x);
       });
-  cache.key_split.emplace(std::make_pair(std::move(p), key), split);
-  return split;
 }
 
 bool IsKeySplitInClosureOf(const DatabaseScheme& scheme,
                            const AttributeSet& key, size_t start,
                            const std::vector<size_t>& pool) {
-  std::vector<size_t> p = PoolOrAll(scheme, pool);
+  std::vector<size_t> p = scheme.PoolOrAll(pool);
   IRD_CHECK_MSG(p.size() <= 16,
                 "definitional split search is exponential; pool too large");
   // BFS over the closure states reachable by partial computations of
@@ -118,36 +102,19 @@ bool IsKeySplitInClosureOf(const DatabaseScheme& scheme,
 bool IsKeySplitByDefinition(const DatabaseScheme& scheme,
                             const AttributeSet& key,
                             const std::vector<size_t>& pool) {
-  std::vector<size_t> p = PoolOrAll(scheme, pool);
+  std::vector<size_t> p = scheme.PoolOrAll(pool);
   for (size_t start : p) {
     if (IsKeySplitInClosureOf(scheme, key, start, p)) return true;
   }
   return false;
 }
 
-namespace {
-
-// Distinct keys of the pool's schemes, first-declaration order.
-std::vector<AttributeSet> DistinctKeys(const DatabaseScheme& scheme,
-                                       const std::vector<size_t>& p) {
-  std::vector<AttributeSet> distinct;
-  std::unordered_set<AttributeSet, AttributeSetHash> seen;
-  for (size_t i : p) {
-    for (const AttributeSet& key : scheme.relation(i).keys) {
-      if (seen.insert(key).second) distinct.push_back(key);
-    }
-  }
-  return distinct;
-}
-
-}  // namespace
-
 std::vector<AttributeSet> SplitKeys(const DatabaseScheme& scheme,
                                     const std::vector<size_t>& pool) {
   IRD_SPAN("split");
-  std::vector<size_t> p = PoolOrAll(scheme, pool);
+  std::vector<size_t> p = scheme.PoolOrAll(pool);
   std::vector<AttributeSet> split;
-  for (const AttributeSet& key : DistinctKeys(scheme, p)) {
+  for (const AttributeSet& key : scheme.DistinctKeys(p)) {
     if (IsKeySplit(scheme, key, p)) split.push_back(key);
   }
   return split;
@@ -156,13 +123,13 @@ std::vector<AttributeSet> SplitKeys(const DatabaseScheme& scheme,
 const std::vector<AttributeSet>& SplitKeys(SchemeAnalysis& analysis,
                                            const std::vector<size_t>& pool) {
   const DatabaseScheme& scheme = analysis.scheme();
-  std::vector<size_t> p = PoolOrAll(scheme, pool);
+  std::vector<size_t> p = scheme.PoolOrAll(pool);
   SchemeAnalysis::Cache& cache = analysis.cache();
   auto cached = cache.split_keys.find(p);
   if (cached != cache.split_keys.end()) return cached->second;
   IRD_SPAN("split");
   std::vector<AttributeSet> split;
-  for (const AttributeSet& key : DistinctKeys(scheme, p)) {
+  for (const AttributeSet& key : scheme.DistinctKeys(p)) {
     if (IsKeySplit(analysis, key, p)) split.push_back(key);
   }
   return cache.split_keys.emplace(std::move(p), std::move(split))

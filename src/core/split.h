@@ -9,7 +9,7 @@
 //    iff some scheme not containing K reaches, via the key dependencies of
 //    the schemes not containing K, a closure that covers K. The
 //    SchemeAnalysis overloads run the W-cover closures through the shared
-//    memoized engines and cache verdicts per (pool, key).
+//    memoized engines, and SplitKeys caches its answer per pool.
 //  * IsKeySplitByDefinition — exhaustive search over partial computations
 //    of the closures (exponential; for cross-validation on small schemes).
 //    Scheme-only on purpose: it computes no FD closures and the oracle

@@ -1,7 +1,5 @@
 #include "core/split_witness.h"
 
-#include <numeric>
-
 #include "core/key_equivalence.h"
 #include "core/split.h"
 
@@ -29,10 +27,7 @@ PartialTuple ProjectOnto(const AttributeSet& attrs, const AttributeSet& key,
 Result<SplitWitness> BuildSplitWitness(const DatabaseScheme& scheme,
                                        const AttributeSet& key,
                                        std::vector<size_t> pool) {
-  if (pool.empty()) {
-    pool.resize(scheme.size());
-    std::iota(pool.begin(), pool.end(), 0);
-  }
+  pool = scheme.PoolOrAll(pool);
   IRD_CHECK_MSG(IsKeyEquivalentSubset(scheme, pool),
                 "split witness requires a key-equivalent (sub)scheme");
   if (!IsKeySplit(scheme, key, pool)) {

@@ -1,18 +1,17 @@
 #include "core/total_projection.h"
 
-#include <numeric>
-
 #include "tableau/lossless.h"
 
 namespace ird {
 
-namespace {
-
-// The Corollary 3.1(b) expression once the lossless covering subsets are
-// known; shared by the scheme-only and engine-backed entry points.
-ExprPtr BuildFromSubsets(const DatabaseScheme& scheme,
-                         const std::vector<std::vector<size_t>>& subsets,
-                         const AttributeSet& x) {
+ExprPtr BuildKeyEquivalentProjectionExpr(const DatabaseScheme& scheme,
+                                         const std::vector<size_t>& pool,
+                                         const AttributeSet& x) {
+  std::vector<size_t> p = scheme.PoolOrAll(pool);
+  // Ambient dependencies: the pool's own key dependencies (F_j of the
+  // block, or all of F when the pool is all of R).
+  std::vector<std::vector<size_t>> subsets = MinimalLosslessSubsetsCovering(
+      scheme, p, x, scheme.KeyDependenciesOf(p));
   if (subsets.empty()) return nullptr;
   std::vector<ExprPtr> branches;
   branches.reserve(subsets.size());
@@ -28,49 +27,14 @@ ExprPtr BuildFromSubsets(const DatabaseScheme& scheme,
   return Expression::Union(std::move(branches));
 }
 
-std::vector<size_t> PoolOrAll(const DatabaseScheme& scheme,
-                              const std::vector<size_t>& pool) {
-  if (!pool.empty()) return pool;
-  std::vector<size_t> all(scheme.size());
-  std::iota(all.begin(), all.end(), 0);
-  return all;
-}
-
-}  // namespace
-
-ExprPtr BuildKeyEquivalentProjectionExpr(const DatabaseScheme& scheme,
-                                         const std::vector<size_t>& pool,
-                                         const AttributeSet& x) {
-  std::vector<size_t> p = PoolOrAll(scheme, pool);
-  // Ambient dependencies: the pool's own key dependencies (F_j of the
-  // block, or all of F when the pool is all of R).
-  FdSet ambient = scheme.KeyDependenciesOf(p);
-  return BuildFromSubsets(
-      scheme, MinimalLosslessSubsetsCovering(scheme, p, x, ambient), x);
-}
-
-ExprPtr BuildKeyEquivalentProjectionExpr(SchemeAnalysis& analysis,
-                                         const std::vector<size_t>& pool,
-                                         const AttributeSet& x) {
-  const DatabaseScheme& scheme = analysis.scheme();
-  std::vector<size_t> p = PoolOrAll(scheme, pool);
-  const FdSet& ambient = analysis.CoverOf(p);
-  return BuildFromSubsets(
-      scheme, MinimalLosslessSubsetsCovering(scheme, p, x, ambient), x);
-}
-
-namespace {
-
-template <typename BlockExprOf>
-ExprPtr BoundedExpr(const RecognitionResult& recognition,
-                    const AttributeSet& x, BlockExprOf block_expr_of) {
+ExprPtr BuildBoundedProjectionExpr(const DatabaseScheme& scheme,
+                                   const RecognitionResult& recognition,
+                                   const AttributeSet& x) {
   IRD_CHECK_MSG(recognition.accepted,
                 "bounded projection requires an accepted recognition");
   const DatabaseScheme& induced = *recognition.induced;
-  std::vector<size_t> d_pool(induced.size());
-  std::iota(d_pool.begin(), d_pool.end(), 0);
   std::vector<std::vector<size_t>> d_subsets =
-      MinimalLosslessSubsetsCovering(induced, d_pool, x);
+      MinimalLosslessSubsetsCovering(induced, induced.PoolOrAll(), x);
   if (d_subsets.empty()) return nullptr;
 
   std::vector<ExprPtr> branches;
@@ -85,7 +49,9 @@ ExprPtr BoundedExpr(const RecognitionResult& recognition,
       AttributeSet yj = induced.relation(j).attrs.Intersect(others);
       // [Y_j] by the block-level expression (Corollary 3.1(b)). The block
       // itself is lossless and covers Y_j, so this is never null.
-      ExprPtr block_expr = block_expr_of(recognition.partition[j], yj);
+      ExprPtr block_expr =
+          BuildKeyEquivalentProjectionExpr(scheme, recognition.partition[j],
+                                           yj);
       IRD_CHECK(block_expr != nullptr);
       factors.push_back(std::move(block_expr));
     }
@@ -95,42 +61,16 @@ ExprPtr BoundedExpr(const RecognitionResult& recognition,
   return Expression::Union(std::move(branches));
 }
 
-}  // namespace
-
-ExprPtr BuildBoundedProjectionExpr(const DatabaseScheme& scheme,
-                                   const RecognitionResult& recognition,
-                                   const AttributeSet& x) {
-  return BoundedExpr(recognition, x,
-                     [&](const std::vector<size_t>& block,
-                         const AttributeSet& yj) {
-                       return BuildKeyEquivalentProjectionExpr(scheme, block,
-                                                               yj);
-                     });
-}
-
-ExprPtr BuildBoundedProjectionExpr(SchemeAnalysis& analysis,
-                                   const RecognitionResult& recognition,
-                                   const AttributeSet& x) {
-  return BoundedExpr(recognition, x,
-                     [&](const std::vector<size_t>& block,
-                         const AttributeSet& yj) {
-                       return BuildKeyEquivalentProjectionExpr(analysis,
-                                                               block, yj);
-                     });
-}
-
 Result<PartialRelation> TotalProjection(const DatabaseState& state,
                                         const AttributeSet& x) {
-  SchemeAnalysis analysis(state.scheme());
-  RecognitionResult recognition = RecognizeIndependenceReducible(analysis);
+  RecognitionResult recognition =
+      RecognizeIndependenceReducible(state.scheme());
   if (!recognition.accepted) {
     return FailedPrecondition(
         "scheme is not independence-reducible: " +
         recognition.violation->ToString(*recognition.induced));
   }
-  ExprPtr expr = BuildBoundedProjectionExpr(analysis, recognition, x);
-  if (expr == nullptr) return PartialRelation(x);
-  return Evaluate(*expr, state);
+  return TotalProjection(state, recognition, x);
 }
 
 PartialRelation TotalProjection(const DatabaseState& state,

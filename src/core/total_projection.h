@@ -20,7 +20,6 @@
 
 #include "algebra/expression.h"
 #include "core/recognition.h"
-#include "engine/scheme_analysis.h"
 #include "relation/database_state.h"
 
 namespace ird {
@@ -31,11 +30,6 @@ namespace ird {
 ExprPtr BuildKeyEquivalentProjectionExpr(const DatabaseScheme& scheme,
                                          const std::vector<size_t>& pool,
                                          const AttributeSet& x);
-// Engine-backed flavor: the pool's ambient cover comes interned from the
-// analysis instead of being rebuilt per call.
-ExprPtr BuildKeyEquivalentProjectionExpr(SchemeAnalysis& analysis,
-                                         const std::vector<size_t>& pool,
-                                         const AttributeSet& x);
 
 // Theorem 4.1: the expression computing [X] on an independence-reducible
 // scheme, given an accepted recognition result. Returns nullptr when no
@@ -43,19 +37,16 @@ ExprPtr BuildKeyEquivalentProjectionExpr(SchemeAnalysis& analysis,
 ExprPtr BuildBoundedProjectionExpr(const DatabaseScheme& scheme,
                                    const RecognitionResult& recognition,
                                    const AttributeSet& x);
-ExprPtr BuildBoundedProjectionExpr(SchemeAnalysis& analysis,
-                                   const RecognitionResult& recognition,
-                                   const AttributeSet& x);
 
-// End-to-end query API: recognizes R, builds the bounded expression and
-// evaluates it. kFailedPrecondition if R is not independence-reducible.
-// The state is assumed consistent (the weak-instance semantics of [X] is
-// only defined for consistent states).
+// End-to-end query API: recognizes R, then answers as the overload below.
+// kFailedPrecondition if R is not independence-reducible. The state is
+// assumed consistent (the weak-instance semantics of [X] is only defined
+// for consistent states).
 Result<PartialRelation> TotalProjection(const DatabaseState& state,
                                         const AttributeSet& x);
 
-// As above but with recognition precomputed (the common case when many
-// queries run against one scheme).
+// Builds the bounded expression for a precomputed recognition and
+// evaluates it (the common case when many queries run against one scheme).
 PartialRelation TotalProjection(const DatabaseState& state,
                                 const RecognitionResult& recognition,
                                 const AttributeSet& x);

@@ -129,16 +129,21 @@ std::string FormatSchemeReport(const DatabaseScheme& scheme,
                                const LintOptions& options) {
   SchemeClassification c = ClassifyScheme(scheme, test_acyclicity);
   auto yn = [](bool b) { return b ? "yes" : "no"; };
+  auto tested = [&](bool b, const std::string& not_tested) {
+    return not_tested.empty() ? std::string(yn(b))
+                              : "not tested (" + not_tested + ")";
+  };
   std::string out;
   out += "valid scheme:             " + c.valid.ToString() + "\n";
-  out += std::string("BCNF:                     ") + yn(c.bcnf) + "\n";
+  out += "BCNF:                     " + tested(c.bcnf, c.bcnf_not_tested) +
+         "\n";
   out += std::string("lossless:                 ") + yn(c.lossless) + "\n";
   out += std::string("independent (Sagiv):      ") + yn(c.independent) + "\n";
   out +=
       std::string("key-equivalent:           ") + yn(c.key_equivalent) + "\n";
   if (test_acyclicity) {
-    out +=
-        std::string("gamma-acyclic:            ") + yn(c.gamma_acyclic) + "\n";
+    out += "gamma-acyclic:            " +
+           tested(c.gamma_acyclic, c.gamma_not_tested) + "\n";
     out +=
         std::string("alpha-acyclic:            ") + yn(c.alpha_acyclic) + "\n";
   }

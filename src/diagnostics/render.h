@@ -29,8 +29,9 @@ std::string RenderJson(const DatabaseScheme& scheme, const LintReport& report,
 
 // The full scheme report: every classification verdict of
 // core/classify.h's ClassifyScheme followed by the lint diagnostics that
-// explain the "no" answers. `test_acyclicity` is forwarded to
-// ClassifyScheme (disable for schemes too large for the exact search).
+// explain the "no" answers. An exponential test ClassifyScheme skipped
+// prints as "not tested" with its reason. `test_acyclicity` is forwarded
+// to ClassifyScheme (false leaves both acyclicity lines out).
 std::string FormatSchemeReport(const DatabaseScheme& scheme,
                                bool test_acyclicity = true,
                                const LintOptions& options = {});

@@ -1,7 +1,5 @@
 #include "engine/scheme_analysis.h"
 
-#include <numeric>
-
 #include "obs/obs.h"
 
 namespace ird {
@@ -15,10 +13,9 @@ std::string UniquenessViolation::ToString(
 }
 
 SchemeAnalysis::SchemeAnalysis(const DatabaseScheme& scheme)
-    : scheme_(&scheme), seen_revision_(scheme.revision()) {
-  full_pool_.resize(scheme_->size());
-  std::iota(full_pool_.begin(), full_pool_.end(), 0);
-}
+    : scheme_(&scheme),
+      seen_revision_(scheme.revision()),
+      full_pool_(scheme.PoolOrAll()) {}
 
 SchemeAnalysis::~SchemeAnalysis() = default;
 
@@ -29,8 +26,7 @@ void SchemeAnalysis::Revalidate() {
   cache_.induced_analysis.reset();
   cache_ = Cache{};
   covers_.clear();
-  full_pool_.resize(scheme_->size());
-  std::iota(full_pool_.begin(), full_pool_.end(), 0);
+  full_pool_ = scheme_->PoolOrAll();
   seen_revision_ = scheme_->revision();
 }
 
@@ -77,10 +73,6 @@ AttributeSet SchemeAnalysis::ClosureExcept(size_t excluded,
   // the full pool, which is what an empty `pool` argument means).
   if (pool.empty()) return x;
   return Closure(pool, x);
-}
-
-const FdSet& SchemeAnalysis::CoverOf(const std::vector<size_t>& pool) {
-  return Entry(pool).cover;
 }
 
 const ClosureEngine& SchemeAnalysis::EngineFor(

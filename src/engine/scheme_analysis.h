@@ -75,10 +75,9 @@ class SchemeAnalysis {
     // FindUniquenessViolation on *this* scheme.
     bool uniqueness_computed = false;
     std::optional<UniquenessViolation> uniqueness;
-    // SplitKeys / IsKeySplit per pool (pool key: sorted index vector; the
-    // empty vector is never used — callers normalize to the full pool).
+    // SplitKeys per pool (pool key: sorted index vector; the empty vector
+    // is never used — callers normalize to the full pool).
     std::map<std::vector<size_t>, std::vector<AttributeSet>> split_keys;
-    std::map<std::pair<std::vector<size_t>, AttributeSet>, bool> key_split;
     // IsKeyEquivalent / IsLossless on the whole scheme.
     std::optional<bool> key_equivalent;
     std::optional<bool> lossless;
@@ -87,7 +86,7 @@ class SchemeAnalysis {
   explicit SchemeAnalysis(const DatabaseScheme& scheme);
   ~SchemeAnalysis();
 
-  // Non-copyable, non-movable: cached child analyses and returned cover
+  // Non-copyable, non-movable: cached child analyses and returned engine
   // references point into this object.
   SchemeAnalysis(const SchemeAnalysis&) = delete;
   SchemeAnalysis& operator=(const SchemeAnalysis&) = delete;
@@ -113,10 +112,6 @@ class SchemeAnalysis {
   bool FullImplies(const AttributeSet& lhs, const AttributeSet& rhs) {
     return rhs.IsSubsetOf(FullClosure(lhs));
   }
-
-  // The interned key-dependency cover of `pool` (empty = all of R). Valid
-  // until the next revision change.
-  const FdSet& CoverOf(const std::vector<size_t>& pool);
 
   // The pool's raw engine, bypassing the memo table — for exponential
   // subset enumerations (BCNF-style scans) whose 2^k distinct queries
@@ -156,10 +151,11 @@ class SchemeAnalysis {
   Cache cache_;
 };
 
-// BMSU losslessness through the shared full-cover engine: R is lossless
-// iff some Ri's full closure covers ∪R. Equivalent to
-// DatabaseScheme::IsLossless but memoized (the per-relation closures are
-// the same queries KEP's root refinement makes).
+// True iff R is lossless wrt F: CHASE_F(T_R) has a row of all dv's. Uses
+// the BMSU closure characterization (valid because F is embedded in R):
+// the row for Ri is a dv exactly on Closure_F(Ri), so R is lossless iff
+// some Ri's full closure covers ∪R. The closures are memoized, and they
+// are the same queries KEP's root refinement makes.
 bool IsLossless(SchemeAnalysis& analysis);
 
 }  // namespace ird

@@ -126,7 +126,7 @@ class CycleSearch {
 }  // namespace
 
 std::optional<GammaCycle> FindGammaCycle(const Hypergraph& h) {
-  IRD_CHECK_MSG(h.edge_count() <= 16,
+  IRD_CHECK_MSG(h.edge_count() <= kMaxGammaCycleEdges,
                 "γ-cycle search is exponential; hypergraph too large");
   if (h.edge_count() < 3) return std::nullopt;
   CycleSearch search(h.edges());

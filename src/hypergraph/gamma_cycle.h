@@ -29,8 +29,10 @@ struct GammaCycle {
 };
 
 // Finds some γ-cycle, or nullopt when the hypergraph is γ-acyclic.
-// Exponential in the number of edges in the worst case (guarded at 16);
-// dependency-theory schemes are small.
+// Exponential in the number of edges in the worst case; IRD_CHECKs that
+// there are at most kMaxGammaCycleEdges (dependency-theory schemes are
+// small).
+inline constexpr size_t kMaxGammaCycleEdges = 16;
 std::optional<GammaCycle> FindGammaCycle(const Hypergraph& h);
 
 }  // namespace ird

@@ -8,8 +8,9 @@
 // Routines pinned (left: optimized, right: oracle):
 //   chase            IsConsistent / WouldRemainConsistent / [X] by chase
 //                    vs the exhaustive pairwise chase (naive_chase.h)
-//   lossless         DatabaseScheme::IsLossless (BMSU closure) vs chased
-//                    scheme tableau
+//   lossless         IsLossless(SchemeAnalysis&) (BMSU closure) and
+//                    IsLosslessByChase vs the exhaustively chased scheme
+//                    tableau
 //   key-equivalence  Algorithm 3 absorption vs FD-closure definition
 //   split            Lemma 3.8 and the BFS-by-definition vs the partial-
 //                    computation walk (naive_split.h)
@@ -19,11 +20,14 @@
 //                    closure, grounded by LSAT/WSAT states both ways
 //   recognition      Algorithm 6 vs set-partition enumeration
 //   classification   ClassifyScheme flags vs oracle-assembled flags
-//   projection       Theorem 4.1 expressions and RepresentativeIndex vs
-//                    naive [X]
-//   maintenance      the Algorithm 2/5 kernels and the §3.2 expression
-//                    lookup vs re-chasing the enlarged initial state
-//                    exhaustively; `stateful` drives one stream through a
+//   projection       Theorem 4.1 expressions, the optimized chase and
+//                    RepresentativeIndex vs naive [X], compared as
+//                    std::unordered_sets (the oracle dedups through a
+//                    std::set, never PartialRelation's dedup index)
+//   maintenance      Algorithm 2 on both lookups (the representative
+//                    instance and the §3.2 expressions, one shared
+//                    worklist) and the Algorithm 5 kernel vs re-chasing
+//                    the enlarged initial state exhaustively; `stateful` drives one stream through a
 //                    ShardedMaintainer and holds every verdict, and one
 //                    random [X] after every accepted insert, to the
 //                    exhaustive chase of an Add-built copy of the

@@ -1,5 +1,9 @@
 #include "oracle/naive_chase.h"
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "relation/weak_instance.h"
 
 namespace ird::oracle {
@@ -47,10 +51,15 @@ Result<PartialRelation> TotalProjectionNaive(const DatabaseState& state,
   if (!NaiveChase(&t, state.scheme().key_dependencies())) {
     return Inconsistent("state has no weak instance");
   }
+  // Dedup through a std container, not AddUnique: the engines' results
+  // are built on PartialRelation's dedup index, which this oracle judges.
+  std::set<std::vector<Value>> seen;
   PartialRelation out(x);
   for (size_t row = 0; row < t.row_count(); ++row) {
-    if (t.TotalOn(row, x)) {
-      out.AddUnique(PartialTuple(x, t.ValuesOn(row, x)));
+    if (!t.TotalOn(row, x)) continue;
+    std::vector<Value> values = t.ValuesOn(row, x);
+    if (seen.insert(values).second) {
+      out.Add(PartialTuple(x, std::move(values)));
     }
   }
   return out;

@@ -30,7 +30,9 @@ bool NaiveChase(Tableau* t, const FdSet& fds);
 bool IsConsistentNaive(const DatabaseState& state);
 
 // [X] from first principles: chase the state tableau exhaustively, collect
-// the X-total rows, deduplicate. kInconsistent when no weak instance exists.
+// the X-total rows, deduplicate (through a std::set, so the result holds
+// each tuple once without PartialRelation's dedup index). kInconsistent
+// when no weak instance exists.
 Result<PartialRelation> TotalProjectionNaive(const DatabaseState& state,
                                              const AttributeSet& x);
 

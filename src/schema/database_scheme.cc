@@ -1,6 +1,6 @@
 #include "schema/database_scheme.h"
 
-#include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "fd/key_finder.h"
@@ -110,6 +110,28 @@ std::vector<std::pair<size_t, AttributeSet>> DatabaseScheme::AllKeys() const {
   return out;
 }
 
+std::vector<size_t> DatabaseScheme::PoolOrAll(
+    const std::vector<size_t>& pool) const {
+  if (!pool.empty()) return pool;
+  std::vector<size_t> all(relations_.size());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
+std::vector<AttributeSet> DatabaseScheme::DistinctKeys(
+    const std::vector<size_t>& pool) const {
+  std::vector<size_t> all;
+  const std::vector<size_t>& p = pool.empty() ? (all = PoolOrAll()) : pool;
+  std::vector<AttributeSet> distinct;
+  std::unordered_set<AttributeSet, AttributeSetHash> seen;
+  for (size_t i : p) {
+    for (const AttributeSet& key : relation(i).keys) {
+      if (seen.insert(key).second) distinct.push_back(key);
+    }
+  }
+  return distinct;
+}
+
 Status DatabaseScheme::Validate() const {
   if (relations_.empty()) {
     return InvalidArgument("database scheme has no relations");
@@ -151,7 +173,7 @@ Status DatabaseScheme::Validate() const {
 bool DatabaseScheme::IsBcnf() const {
   const FdSet& f = key_dependencies();
   for (const RelationScheme& r : relations_) {
-    IRD_CHECK_MSG(r.attrs.Count() <= 20,
+    IRD_CHECK_MSG(r.attrs.Count() <= kMaxBcnfAttrs,
                   "BCNF test is exponential; scheme too large");
     // Enumerate X ⊆ r.attrs; a violation is a nontrivial embedded X -> A
     // with X not a superkey of r.
@@ -170,18 +192,6 @@ bool DatabaseScheme::IsBcnf() const {
     }
   }
   return true;
-}
-
-bool DatabaseScheme::IsLossless() const {
-  // BMSU: in CHASE_F(T_R) the row for Ri is a dv exactly on Closure_F(Ri),
-  // so R is lossless iff some Ri's closure covers U. Valid because F is
-  // embedded in R by construction.
-  const FdSet& f = key_dependencies();
-  AttributeSet all = AllAttrs();
-  for (const RelationScheme& r : relations_) {
-    if (all.IsSubsetOf(f.Closure(r.attrs))) return true;
-  }
-  return false;
 }
 
 std::string DatabaseScheme::ToString() const {

@@ -99,6 +99,15 @@ class DatabaseScheme {
   // the first relation declaring it.
   std::vector<std::pair<size_t, AttributeSet>> AllKeys() const;
 
+  // The pool-taking algorithms' convention: `pool` itself, or every
+  // relation index 0..size()-1 when `pool` is empty.
+  std::vector<size_t> PoolOrAll(const std::vector<size_t>& pool = {}) const;
+
+  // The distinct keys of the pool's relations (empty = all of R), each
+  // once, in pool and declaration order.
+  std::vector<AttributeSet> DistinctKeys(
+      const std::vector<size_t>& pool = {}) const;
+
   // Semantic validation per the paper's definitions:
   //  - ∪ Ri = U;
   //  - every key is a nonempty subset of its scheme;
@@ -108,12 +117,10 @@ class DatabaseScheme {
 
   // BCNF wrt the key dependencies (paper §2.3): for every nontrivial
   // X -> Y ∈ F+ embedded in some Ri, X is a superkey of Ri. Exponential in
-  // max |Ri| (inherent for projected dependencies); guarded at 20 attrs.
+  // max |Ri| (inherent for projected dependencies); IRD_CHECKs that every
+  // relation has at most kMaxBcnfAttrs attributes.
+  static constexpr size_t kMaxBcnfAttrs = 20;
   bool IsBcnf() const;
-
-  // True iff R is lossless wrt F: CHASE_F(T_R) has a row of all dv's. Uses
-  // the BMSU closure characterization (valid because F is embedded in R).
-  bool IsLossless() const;
 
   std::string ToString() const;
 

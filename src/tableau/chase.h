@@ -70,8 +70,9 @@ void SetChasePhaseObserverForTest(const ChasePhaseObserver* observer);
 Tableau SchemeTableau(const DatabaseScheme& scheme);
 
 // Ground-truth lossless test via the chase: CHASE_F(T_R) has a row of all
-// dv's. Semantically identical to DatabaseScheme::IsLossless (which uses the
-// BMSU closure shortcut); kept separate for cross-validation.
+// dv's. Semantically identical to IsLossless(SchemeAnalysis&) in
+// engine/scheme_analysis.h (the BMSU closure shortcut); kept separate for
+// cross-validation.
 bool IsLosslessByChase(const DatabaseScheme& scheme);
 
 // Minimizes a *chased, consistent* state tableau by dropping rows whose
