@@ -109,12 +109,11 @@ std::string Sanitize(std::string tag) {
 // Engine-counter header line for a shrunk repro: the counters the repro's
 // own comparison run bumps, so a reader sees how much engine work the
 // disagreement takes to reproduce (and which engines it reaches at all).
-std::string CounterHeaderLine(const DatabaseScheme& repro,
-                              const DifferentialOptions& opt) {
+std::string CounterHeaderLine(const DatabaseScheme& repro, uint64_t seed) {
   // The context scopes the tally to exactly this comparison run, so the
   // header is correct even with concurrent counter traffic elsewhere.
   obs::ObsContext ctx("fuzz.repro");
-  (void)CompareAgainstOracles(repro, opt);
+  (void)CompareAgainstOracles(repro, seed);
   obs::Snapshot delta = obs::ContextSnapshot(ctx);
   std::string line = "counters:";
   if (delta.counters.empty()) return line + " (none)";
@@ -167,9 +166,8 @@ int Run(const Args& args) {
   }
 
   // Phase 2 — comparison and shrinking, fanned out over the pool. Each
-  // candidate is touched by exactly one worker (its DatabaseScheme's lazy
-  // FD cache is not thread-safe); the only shared state the payload
-  // reaches is the obs counter registry, which is atomic.
+  // candidate is touched by exactly one worker; the only shared state the
+  // payload reaches is the obs counter registry, which is atomic.
   {
     BatchAnalyzer batch(args.jobs);
     batch.ForEachIndex(candidates.size(), [&](size_t c) {
@@ -185,15 +183,14 @@ int Run(const Args& args) {
       // Chase self-check: the delta-driven, pass-based and exhaustive
       // pairwise chases must agree on the candidate's tableaux.
       cand.chase_status = ChaseSelfCheck(cand.scheme, args.seed + cand.iter);
-      DifferentialOptions opt;
-      opt.seed = args.seed + cand.iter;
-      cand.found = CompareAgainstOracles(cand.scheme, opt);
+      const uint64_t seed = args.seed + cand.iter;
+      cand.found = CompareAgainstOracles(cand.scheme, seed);
       if (cand.found.empty()) return;
       cand.repro = cand.scheme;
       if (args.shrink) {
         const std::string& routine = cand.found[0].routine;
         cand.repro = ShrinkScheme(cand.scheme, [&](const DatabaseScheme& s) {
-          return DisagreesOn(s, opt, routine);
+          return DisagreesOn(s, seed, routine);
         });
       }
     });
@@ -226,7 +223,7 @@ int Run(const Args& args) {
              "found by: fuzz_driver, " + std::string(family.name) +
                  " family, seed " + std::to_string(args.seed) +
                  ", iteration " + std::to_string(i),
-             CounterHeaderLine(cand.scheme, DifferentialOptions{})});
+             CounterHeaderLine(cand.scheme, /*seed=*/0)});
         if (!written.ok()) {
           std::fprintf(stderr, "corpus write failed: %s\n",
                        written.ToString().c_str());
@@ -246,7 +243,7 @@ int Run(const Args& args) {
              "found by: fuzz_driver, " + std::string(family.name) +
                  " family, seed " + std::to_string(args.seed) +
                  ", iteration " + std::to_string(i),
-             CounterHeaderLine(cand.scheme, DifferentialOptions{})});
+             CounterHeaderLine(cand.scheme, /*seed=*/0)});
         if (!written.ok()) {
           std::fprintf(stderr, "corpus write failed: %s\n",
                        written.ToString().c_str());
@@ -266,8 +263,6 @@ int Run(const Args& args) {
       for (const std::string& routine : others) {
         std::fprintf(stderr, "  also: %s\n", routine.c_str());
       }
-      DifferentialOptions opt;
-      opt.seed = args.seed + i;
       std::string name = Sanitize(first.routine) + "-" + family.name + "-s" +
                          std::to_string(args.seed) + "-" + std::to_string(i);
       Status written = WriteCorpusFile(
@@ -276,7 +271,7 @@ int Run(const Args& args) {
            "found by: fuzz_driver, " + std::string(family.name) +
                " family, seed " + std::to_string(args.seed) + ", iteration " +
                std::to_string(i),
-           CounterHeaderLine(*cand.repro, opt)});
+           CounterHeaderLine(*cand.repro, args.seed + i)});
       if (!written.ok()) {
         std::fprintf(stderr, "corpus write failed: %s\n",
                      written.ToString().c_str());

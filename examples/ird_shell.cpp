@@ -31,6 +31,7 @@
 #include "diagnostics/render.h"
 #include "io/text_format.h"
 #include "relation/weak_instance.h"
+#include "tableau/lossless.h"
 
 using namespace ird;
 
@@ -182,8 +183,25 @@ class Shell {
     return x;
   }
 
+  // A plan (Theorem 4.1) enumerates the lossless subsets of the induced
+  // scheme and of the blocks it joins, each at most kMaxLosslessSubsetPool
+  // relations; past that bound the shell refuses to compile one.
+  bool PlansCompile() {
+    const RecognitionResult& r = maintainer_->sharded_state().recognition();
+    size_t widest = r.induced->size();
+    for (const std::vector<size_t>& block : r.partition) {
+      widest = std::max(widest, block.size());
+    }
+    if (widest <= kMaxLosslessSubsetPool) return true;
+    std::printf(
+        "error: cannot compile a plan: a pool of %zu relations is past the "
+        "lossless-subset bound of %zu\n",
+        widest, kMaxLosslessSubsetPool);
+    return false;
+  }
+
   void Query(const std::vector<std::string>& words) {
-    if (!Ready()) return;
+    if (!Ready() || !PlansCompile()) return;
     std::optional<AttributeSet> x = ParseAttrs(words);
     if (!x.has_value()) return;
     PartialRelation answer = maintainer_->TotalProjection(*x);
@@ -200,7 +218,7 @@ class Shell {
   }
 
   void Plan(const std::vector<std::string>& words) {
-    if (!Ready()) return;
+    if (!Ready() || !PlansCompile()) return;
     std::optional<AttributeSet> x = ParseAttrs(words);
     if (!x.has_value()) return;
     // The Theorem 4.1 expression for X, from the maintainer's plan cache.

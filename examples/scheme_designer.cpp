@@ -101,9 +101,7 @@ void Report(const NamedScheme& named) {
   std::printf("%s\n", named.title.c_str());
   std::printf("----------------------------------------------\n");
   std::printf("%s", named.scheme.ToString().c_str());
-  std::printf("\n%s\n", diagnostics::FormatSchemeReport(
-                            named.scheme, named.scheme.size() <= 10)
-                            .c_str());
+  std::printf("\n%s\n", diagnostics::FormatSchemeReport(named.scheme).c_str());
 }
 
 }  // namespace

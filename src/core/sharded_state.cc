@@ -47,12 +47,6 @@ Result<ShardedState> ShardedState::Create(DatabaseState state,
     if (!shard.ok()) return shard.status();
     sharded.shards_.push_back(std::move(shard).value());
   }
-  // Warm the lazy FD caches (the scheme's and the induced scheme's) while
-  // construction is still single-threaded: plan compilation under
-  // concurrent TotalProjection readers calls key_dependencies() on both,
-  // and the first call mutates the mutable cache members.
-  (void)sharded.scheme_.key_dependencies();
-  (void)sharded.recognition_.induced->key_dependencies();
   return sharded;
 }
 

@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/key_equivalence.h"
 #include "obs/obs.h"
 
 namespace ird {
@@ -58,6 +59,28 @@ bool IsKeySplit(SchemeAnalysis& analysis, const AttributeSet& key,
         // empty-pool-means-full convention of Closure is never tripped.
         return analysis.Closure(w, x);
       });
+}
+
+std::vector<size_t> CoveringFragments(const DatabaseScheme& scheme,
+                                      const AttributeSet& key,
+                                      const std::vector<size_t>& pool) {
+  std::vector<size_t> w;
+  for (size_t i : scheme.PoolOrAll(pool)) {
+    if (!key.IsSubsetOf(scheme.relation(i).attrs)) w.push_back(i);
+  }
+  for (size_t start : w) {
+    SchemeClosure closure = ComputeSchemeClosure(scheme, start, w);
+    if (!key.IsSubsetOf(closure.closure)) continue;
+    std::vector<size_t> covering = {start};
+    AttributeSet covered = scheme.relation(start).attrs;
+    for (const ClosureStep& step : closure.steps) {
+      if (key.IsSubsetOf(covered)) break;
+      covering.push_back(step.scheme_index);
+      covered.UnionWith(scheme.relation(step.scheme_index).attrs);
+    }
+    return covering;
+  }
+  return {};
 }
 
 bool IsKeySplitInClosureOf(const DatabaseScheme& scheme,

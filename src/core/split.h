@@ -35,6 +35,17 @@ bool IsKeySplit(const DatabaseScheme& scheme, const AttributeSet& key,
 bool IsKeySplit(SchemeAnalysis& analysis, const AttributeSet& key,
                 const std::vector<size_t>& pool = {});
 
+// Lemma 3.8's covering sequence: with W = {Rp ∈ pool : K ⊄ Rp}, the first
+// Wi (in pool order) whose Algorithm 3 closure over W covers K, followed by
+// the prefix of that computation's steps that completes K. No member
+// contains K, and their union covers it — the fragments that witness the
+// split (and the s_l of BuildSplitWitness). Empty iff K is not split.
+// Algorithm 3 over W reaches exactly Closure_G(Wi) for G = W's key
+// dependencies, so this agrees with IsKeySplit without an FD closure.
+std::vector<size_t> CoveringFragments(const DatabaseScheme& scheme,
+                                      const AttributeSet& key,
+                                      const std::vector<size_t>& pool = {});
+
 // The definitional test restricted to computations of one closure Si+
 // (paper: "K is split in Si+"): explores every reachable closure state of
 // start+ and reports whether any applicable step completes K with a scheme

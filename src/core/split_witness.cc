@@ -30,34 +30,14 @@ Result<SplitWitness> BuildSplitWitness(const DatabaseScheme& scheme,
   pool = scheme.PoolOrAll(pool);
   IRD_CHECK_MSG(IsKeyEquivalentSubset(scheme, pool),
                 "split witness requires a key-equivalent (sub)scheme");
-  if (!IsKeySplit(scheme, key, pool)) {
-    return FailedPrecondition("key is not split; no witness exists");
-  }
-
   // --- The covering fragments S_l: a partial computation over W (the
   // schemes not containing K) that covers K without any member containing
   // it (Lemma 3.8's witness sequence).
-  std::vector<size_t> w;
-  for (size_t i : pool) {
-    if (!key.IsSubsetOf(scheme.relation(i).attrs)) w.push_back(i);
+  std::vector<size_t> s_l = CoveringFragments(scheme, key, pool);
+  if (s_l.empty()) {
+    return FailedPrecondition("key is not split; no witness exists");
   }
-  FdSet g = scheme.KeyDependenciesOf(w);
-  std::vector<size_t> s_l;
-  AttributeSet u_l;
-  for (size_t start : w) {
-    if (!key.IsSubsetOf(g.Closure(scheme.relation(start).attrs))) continue;
-    SchemeClosure closure = ComputeSchemeClosure(scheme, start, w);
-    s_l = {start};
-    u_l = scheme.relation(start).attrs;
-    for (const ClosureStep& step : closure.steps) {
-      if (key.IsSubsetOf(u_l)) break;
-      s_l.push_back(step.scheme_index);
-      u_l.UnionWith(scheme.relation(step.scheme_index).attrs);
-    }
-    IRD_CHECK_MSG(key.IsSubsetOf(u_l), "closure must cover the split key");
-    break;
-  }
-  IRD_CHECK(!s_l.empty());
+  AttributeSet u_l = scheme.UnionAttrs(s_l);
 
   // --- The S_q sequence: a partial computation of S_p+ (S_p ⊇ K) whose
   // prefix avoids U_l - K and whose last element meets it.

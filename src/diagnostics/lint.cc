@@ -160,40 +160,6 @@ void CheckKeyEquivalence(const DatabaseScheme& scheme,
   }
 }
 
-// The Lemma 3.8 covering sequence for a key known to be split in `pool`:
-// a partial computation over W = {Rp ∈ pool : key ⊄ Rp} whose union covers
-// the key.
-std::vector<size_t> CoveringSequence(SchemeAnalysis& analysis,
-                                     const AttributeSet& key,
-                                     const std::vector<size_t>& pool) {
-  const DatabaseScheme& scheme = analysis.scheme();
-  std::vector<size_t> w;
-  for (size_t i : pool) {
-    if (!key.IsSubsetOf(scheme.relation(i).attrs)) w.push_back(i);
-  }
-  // A split key has a nonempty W (its covering fragments), so the pool
-  // passed to the memoized closure is never empty.
-  IRD_DCHECK(!w.empty());
-  for (size_t start : w) {
-    if (!key.IsSubsetOf(analysis.Closure(w, scheme.relation(start).attrs))) {
-      continue;
-    }
-    std::vector<size_t> covering = {start};
-    AttributeSet covered = scheme.relation(start).attrs;
-    for (const ClosureStep& step :
-         ComputeSchemeClosure(scheme, start, w).steps) {
-      if (key.IsSubsetOf(covered)) break;
-      covering.push_back(step.scheme_index);
-      covered.UnionWith(scheme.relation(step.scheme_index).attrs);
-    }
-    IRD_CHECK_MSG(key.IsSubsetOf(covered),
-                  "Lemma 3.8 held but the covering walk missed the key");
-    return covering;
-  }
-  IRD_CHECK_MSG(false, "split key without a Lemma 3.8 covering sequence");
-  return {};
-}
-
 void CheckSplitKeys(SchemeAnalysis& analysis,
                     const std::vector<std::vector<size_t>>& partition,
                     const LintOptions& options,
@@ -208,9 +174,10 @@ void CheckSplitKeys(SchemeAnalysis& analysis,
       if (options.build_instance_witnesses) {
         Result<SplitWitness> instance = BuildSplitWitness(scheme, key, block);
         if (instance.ok()) {
-          // The instance's s_l doubles as the Lemma 3.8 covering sequence,
-          // keeping the structural and chase-level halves of the witness in
-          // sync (dropping exactly these fragments must hide the insert).
+          // The instance's s_l is the Lemma 3.8 covering sequence
+          // (CoveringFragments), so the structural and chase-level halves
+          // of the witness agree: dropping exactly these fragments must
+          // hide the insert.
           w.covering = instance.value().covering_relations;
           w.state = std::move(instance.value().state);
           w.insert_rel = instance.value().insert_rel;
@@ -223,7 +190,7 @@ void CheckSplitKeys(SchemeAnalysis& analysis,
         }
       }
       if (w.covering.empty()) {
-        w.covering = CoveringSequence(analysis, key, block);
+        w.covering = CoveringFragments(scheme, key, block);
       }
       std::string covering_names;
       for (size_t k = 0; k < w.covering.size(); ++k) {
@@ -268,9 +235,11 @@ void CheckRecognition(const RecognitionResult& recognition,
       std::move(rels), std::move(w)));
 }
 
-void CheckGammaCycle(const DatabaseScheme& scheme, const LintOptions& options,
+// Within ClassifyScheme's bound, so every "gamma-acyclic: no" it reports
+// comes with this rule's cycle.
+void CheckGammaCycle(const DatabaseScheme& scheme,
                      std::vector<Diagnostic>* out) {
-  if (scheme.size() < 3 || scheme.size() > options.max_gamma_edges) return;
+  if (scheme.size() < 3 || scheme.size() > kMaxGammaCycleEdges) return;
   std::optional<GammaCycle> cycle = FindGammaCycle(Hypergraph::Of(scheme));
   if (!cycle.has_value()) return;
   GammaCycleWitness w;
@@ -288,46 +257,38 @@ void CheckGammaCycle(const DatabaseScheme& scheme, const LintOptions& options,
                       std::move(rels), std::move(w)));
 }
 
+// IsBcnf's scan within its bound, so every "BCNF: no" ClassifyScheme
+// reports comes with this rule's witness (one per relation).
 void CheckEmbeddedCover(SchemeAnalysis& analysis,
-                        const LintOptions& options,
                         std::vector<Diagnostic>* out) {
   const DatabaseScheme& scheme = analysis.scheme();
   // Raw engine: the 2^k subset probes are all distinct, so memoizing them
   // would only bloat the closure memo.
   const ClosureEngine& f = analysis.EngineFor({});
+  auto closure_of = [&](const AttributeSet& x) { return f.Closure(x); };
   for (size_t i = 0; i < scheme.size(); ++i) {
     const RelationScheme& r = scheme.relation(i);
-    if (r.attrs.Count() > options.max_cover_attrs) continue;
-    std::vector<AttributeId> attrs = r.attrs.ToVector();
-    size_t n = attrs.size();
-    bool reported = false;
-    for (uint64_t mask = 1; mask < (uint64_t{1} << n) && !reported; ++mask) {
-      AttributeSet x;
-      for (size_t b = 0; b < n; ++b) {
-        if ((mask >> b) & 1) x.Add(attrs[b]);
-      }
-      AttributeSet closure = f.Closure(x);
-      AttributeSet gained = closure.Intersect(r.attrs).Minus(x);
-      if (gained.Empty() || r.attrs.IsSubsetOf(closure)) continue;
-      AttributeId determined = gained.First();
-      AttributeId missing = r.attrs.Minus(closure).First();
-      AttributeSet target;
-      target.Add(determined);
-      std::optional<FdTrace> trace = DeriveTrace(scheme, x, target);
-      IRD_CHECK_MSG(trace.has_value(),
-                    "closure found the FD but the derivation failed");
-      out->push_back(Make(
-          RuleId::kUnsoundEmbeddedCover,
-          "hidden dependency " + scheme.universe().Format(x) + " -> " +
-              scheme.universe().Name(determined) + " is embedded in " +
-              r.name + " although " + scheme.universe().Format(x) +
-              " is not a superkey of it (it never determines " +
-              scheme.universe().Name(missing) +
-              "): the declared keys do not cover the projected dependencies",
-          {i},
-          UnsoundCoverWitness{i, x, determined, std::move(*trace), missing}));
-      reported = true;  // one witness per relation is enough
-    }
+    if (r.attrs.Count() > DatabaseScheme::kMaxBcnfAttrs) continue;
+    std::optional<BcnfViolation> v = FindBcnfViolation(r, closure_of);
+    if (!v.has_value()) continue;
+    const AttributeSet& x = v->lhs;
+    AttributeId determined = v->closure.Intersect(r.attrs).Minus(x).First();
+    AttributeId missing = r.attrs.Minus(v->closure).First();
+    AttributeSet target;
+    target.Add(determined);
+    std::optional<FdTrace> trace = DeriveTrace(scheme, x, target);
+    IRD_CHECK_MSG(trace.has_value(),
+                  "closure found the FD but the derivation failed");
+    out->push_back(Make(
+        RuleId::kUnsoundEmbeddedCover,
+        "hidden dependency " + scheme.universe().Format(x) + " -> " +
+            scheme.universe().Name(determined) + " is embedded in " +
+            r.name + " although " + scheme.universe().Format(x) +
+            " is not a superkey of it (it never determines " +
+            scheme.universe().Name(missing) +
+            "): the declared keys do not cover the projected dependencies",
+        {i},
+        UnsoundCoverWitness{i, x, determined, std::move(*trace), missing}));
   }
 }
 
@@ -376,8 +337,8 @@ LintReport LintScheme(SchemeAnalysis& analysis, const LintOptions& options) {
   CheckSplitKeys(analysis, recognition.partition, options,
                  &report.diagnostics);
   CheckRecognition(recognition, &report.diagnostics);
-  CheckGammaCycle(scheme, options, &report.diagnostics);
-  CheckEmbeddedCover(analysis, options, &report.diagnostics);
+  CheckGammaCycle(scheme, &report.diagnostics);
+  CheckEmbeddedCover(analysis, &report.diagnostics);
   CheckReachability(analysis, &report.diagnostics);
   return report;
 }

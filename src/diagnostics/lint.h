@@ -14,12 +14,10 @@
 
 namespace ird::diagnostics {
 
+// The exponential rules run within the classifier's bounds: the γ-cycle
+// rule on at most kMaxGammaCycleEdges relations, the hidden-dependency
+// rule on relations of at most DatabaseScheme::kMaxBcnfAttrs attributes.
 struct LintOptions {
-  // γ-cycle search is exponential in the number of edges; skip above this.
-  size_t max_gamma_edges = 10;
-  // The hidden-dependency rule enumerates attribute subsets per relation;
-  // skip relations wider than this.
-  size_t max_cover_attrs = 12;
   // Build the Lemma 3.5-3.7 adversarial instance for each split key (costs
   // one witness construction per split key; disable for bulk sweeps that
   // only need the structural Lemma 3.8 certificate).

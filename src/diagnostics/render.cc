@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "core/classify.h"
+#include "engine/scheme_analysis.h"
 
 namespace ird::diagnostics {
 
@@ -124,10 +125,9 @@ std::string RenderJson(const DatabaseScheme& scheme, const LintReport& report,
   return out;
 }
 
-std::string FormatSchemeReport(const DatabaseScheme& scheme,
-                               bool test_acyclicity,
-                               const LintOptions& options) {
-  SchemeClassification c = ClassifyScheme(scheme, test_acyclicity);
+std::string FormatSchemeReport(const DatabaseScheme& scheme) {
+  SchemeAnalysis analysis(scheme);
+  SchemeClassification c = ClassifyScheme(analysis);
   auto yn = [](bool b) { return b ? "yes" : "no"; };
   auto tested = [&](bool b, const std::string& not_tested) {
     return not_tested.empty() ? std::string(yn(b))
@@ -141,12 +141,10 @@ std::string FormatSchemeReport(const DatabaseScheme& scheme,
   out += std::string("independent (Sagiv):      ") + yn(c.independent) + "\n";
   out +=
       std::string("key-equivalent:           ") + yn(c.key_equivalent) + "\n";
-  if (test_acyclicity) {
-    out += "gamma-acyclic:            " +
-           tested(c.gamma_acyclic, c.gamma_not_tested) + "\n";
-    out +=
-        std::string("alpha-acyclic:            ") + yn(c.alpha_acyclic) + "\n";
-  }
+  out += "gamma-acyclic:            " +
+         tested(c.gamma_acyclic, c.gamma_not_tested) + "\n";
+  out += std::string("alpha-acyclic:            ") + yn(c.alpha_acyclic) +
+         "\n";
   out += std::string("independence-reducible:   ") +
          yn(c.independence_reducible) + "\n";
   if (c.independence_reducible) {
@@ -165,9 +163,7 @@ std::string FormatSchemeReport(const DatabaseScheme& scheme,
          yn(c.algebraic_maintainable) + "\n";
   out += std::string("constant-time-maintain.:  ") + yn(c.ctm) + "\n";
   out += "\ndiagnostics:\n";
-  LintOptions opts = options;
-  if (!test_acyclicity) opts.max_gamma_edges = 0;
-  out += RenderText(scheme, LintScheme(scheme, opts));
+  out += RenderText(scheme, LintScheme(analysis));
   return out;
 }
 

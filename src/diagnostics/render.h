@@ -29,12 +29,12 @@ std::string RenderJson(const DatabaseScheme& scheme, const LintReport& report,
 
 // The full scheme report: every classification verdict of
 // core/classify.h's ClassifyScheme followed by the lint diagnostics that
-// explain the "no" answers. An exponential test ClassifyScheme skipped
-// prints as "not tested" with its reason. `test_acyclicity` is forwarded
-// to ClassifyScheme (false leaves both acyclicity lines out).
-std::string FormatSchemeReport(const DatabaseScheme& scheme,
-                               bool test_acyclicity = true,
-                               const LintOptions& options = {});
+// explain the "no" answers, both run on one SchemeAnalysis. An exponential
+// test past its bound prints as "not tested" with its reason; within the
+// bounds, which classifier and linter share, every "no" for BCNF,
+// gamma-acyclicity, key-equivalence, independence-reducibility and a split
+// block comes with its diagnostic.
+std::string FormatSchemeReport(const DatabaseScheme& scheme);
 
 }  // namespace ird::diagnostics
 

@@ -5,8 +5,8 @@
 // The concurrency model keeps the single-threaded invariants of the rest
 // of the engine intact:
 //   * work is handed out as indices into the caller's input list, one
-//     index to exactly one worker, so each DatabaseScheme / SchemeAnalysis
-//     is touched by a single thread (neither object is thread-safe);
+//     index to exactly one worker, so each SchemeAnalysis is touched by a
+//     single thread (it is not thread-safe; a const DatabaseScheme is);
 //   * callers collect results into pre-sized slots indexed by input
 //     position, then render serially after ForEachIndex returns — output
 //     is input-ordered and byte-identical regardless of the job count;

@@ -21,8 +21,8 @@
 // Threading: a SchemeAnalysis is NOT thread-safe — memo tables and the
 // ClosureEngine scratch buffers are mutated on query. The intended model
 // (enforced by BatchAnalyzer, see engine/batch.h) is one SchemeAnalysis per
-// scheme per worker; the underlying DatabaseScheme must not be shared
-// across workers either, because its FD cache is lazily built.
+// scheme per worker. The underlying DatabaseScheme holds no mutable state,
+// so a const scheme may be read from any number of threads.
 //
 // This layer sits between schema and core: it depends only on
 // base/obs/fd/schema, and src/core's algorithms fill its typed cache slots.

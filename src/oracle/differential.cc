@@ -32,6 +32,21 @@ namespace ird::oracle {
 
 namespace {
 
+// Generated-state shape for the dynamic (state-level) comparisons.
+constexpr size_t kStateEntities = 6;
+constexpr double kStateCoverage = 0.7;
+constexpr size_t kInsertCount = 8;
+constexpr double kConflictRate = 0.4;
+constexpr size_t kProjectionTargets = 3;
+// LSAT/WSAT grounding of the independence verdict.
+constexpr size_t kLsatTrials = 25;
+constexpr size_t kLsatMaxTuples = 2;
+constexpr size_t kLsatDomain = 2;
+// Exponential-oracle guards: comparisons needing subset / set-partition
+// enumeration are skipped above these relation counts.
+constexpr size_t kMaxSubsetEnum = 12;
+constexpr size_t kMaxPartitionEnum = 8;
+
 std::string PartitionToString(const DatabaseScheme& scheme,
                               const std::vector<std::vector<size_t>>& blocks) {
   std::string out;
@@ -91,8 +106,8 @@ bool SameRecognition(const RecognitionResult& a, const RecognitionResult& b) {
 
 class Comparator {
  public:
-  Comparator(const DatabaseScheme& scheme, const DifferentialOptions& options)
-      : scheme_(scheme), options_(options) {}
+  Comparator(const DatabaseScheme& scheme, uint64_t seed)
+      : scheme_(scheme), seed_(seed) {}
 
   std::vector<Disagreement> Run() {
     IRD_SPAN("oracle.compare");
@@ -128,7 +143,7 @@ class Comparator {
     // pairwise, on the scheme tableau and generated state tableaux (final
     // canonical tableau, consistency verdict and equate count must agree).
     {
-      Status chase = ChaseSelfCheck(scheme_, options_.seed + 7);
+      Status chase = ChaseSelfCheck(scheme_, seed_ + 7);
       Expect(chase.ok(), "tableau/chase-vs-naive",
              chase.ok() ? "" : chase.ToString());
     }
@@ -158,9 +173,8 @@ class Comparator {
            "ClosureEngine uniqueness test disagrees with naive closures");
     if (independent) {
       std::optional<DatabaseState> gap =
-          SearchLsatWsatGap(scheme_, options_.lsat_trials,
-                            options_.lsat_max_tuples, options_.lsat_domain,
-                            options_.seed + 101);
+          SearchLsatWsatGap(scheme_, kLsatTrials, kLsatMaxTuples,
+                            kLsatDomain, seed_ + 101);
       Expect(!gap.has_value(), "independence/lsat-wsat",
              "scheme declared independent but a locally consistent, "
              "globally inconsistent state exists");
@@ -181,7 +195,7 @@ class Comparator {
 
     // KEP vs maximal key-equivalent subsets.
     RecognitionResult recognition = RecognizeIndependenceReducible(scheme_);
-    if (n <= options_.max_subset_enum) {
+    if (n <= kMaxSubsetEnum) {
       std::vector<std::vector<size_t>> maximal =
           MaximalKeyEquivalentSubsets(scheme_);
       Expect(recognition.partition == maximal, "kep/partition",
@@ -192,7 +206,7 @@ class Comparator {
 
     // Recognition: Algorithm 6 vs set-partition enumeration, plus an
     // unconditional audit of the accepting partition.
-    if (n <= options_.max_partition_enum) {
+    if (n <= kMaxPartitionEnum) {
       Expect(recognition.accepted == IsIndependenceReducibleOracle(scheme_),
              "recognition/alg6",
              std::string("Algorithm 6 ") +
@@ -232,7 +246,7 @@ class Comparator {
     }
 
     // Classification flags vs the oracle-assembled report.
-    if (n <= options_.max_partition_enum) {
+    if (n <= kMaxPartitionEnum) {
       SchemeClassification c = ClassifyScheme(scheme_, false);
       OracleClassification o = ClassifySchemeOracle(scheme_);
       Expect(c.lossless == o.lossless, "classify/lossless", "lossless flag");
@@ -250,9 +264,9 @@ class Comparator {
 
   void CompareStates() {
     StateGenOptions state_opt;
-    state_opt.entities = options_.state_entities;
-    state_opt.coverage = options_.state_coverage;
-    state_opt.seed = options_.seed + 1;
+    state_opt.entities = kStateEntities;
+    state_opt.coverage = kStateCoverage;
+    state_opt.seed = seed_ + 1;
     DatabaseState state = MakeConsistentState(scheme_, state_opt);
 
     // Consistency of the generated state: true by construction, and the
@@ -272,9 +286,9 @@ class Comparator {
 
     // Total projections: predetermined expressions and the representative
     // index vs the exhaustive chase.
-    std::mt19937_64 rng(options_.seed + 2);
+    std::mt19937_64 rng(seed_ + 2);
     if (recognition.accepted) {
-      for (size_t round = 0; round < options_.projection_targets; ++round) {
+      for (size_t round = 0; round < kProjectionTargets; ++round) {
         AttributeSet x = RandomTarget(rng);
         Result<PartialRelation> naive = TotalProjectionNaive(state, x);
         if (!naive.ok()) continue;
@@ -329,9 +343,8 @@ class Comparator {
       }
     }
 
-    std::vector<InsertInstance> stream =
-        MakeInsertStream(scheme_, state, options_.insert_count,
-                         options_.conflict_rate, options_.seed + 3);
+    std::vector<InsertInstance> stream = MakeInsertStream(
+        scheme_, state, kInsertCount, kConflictRate, seed_ + 3);
     for (const InsertInstance& ins : stream) {
       bool truth = WouldRemainConsistentNaive(state, ins.rel, ins.tuple);
       std::string which = Which(ins);
@@ -386,7 +399,7 @@ class Comparator {
     }
     ShardedMaintainer serial = std::move(serial_r).value();
     DatabaseState truth_state = initial;
-    std::mt19937_64 rng(options_.seed + 5);
+    std::mt19937_64 rng(seed_ + 5);
     std::vector<InsertOp> ops;
     std::vector<bool> verdicts;
     // Returns false at the first wrong verdict: the engine's state and the
@@ -418,8 +431,8 @@ class Comparator {
     };
     if (!replay(first_half)) return;
     std::vector<InsertInstance> second_half = MakeInsertStream(
-        scheme_, truth_state, options_.insert_count - first_half.size(),
-        options_.conflict_rate, options_.seed + 4);
+        scheme_, truth_state, kInsertCount - first_half.size(), kConflictRate,
+        seed_ + 4);
     if (!replay(second_half)) return;
     Expect(SameStateSets(serial.Materialize(), truth_state), kRoutine,
            "serial final state differs from the oracle's as a set");
@@ -460,21 +473,20 @@ class Comparator {
   }
 
   const DatabaseScheme& scheme_;
-  const DifferentialOptions& options_;
+  const uint64_t seed_;
   std::vector<Disagreement> found_;
 };
 
 }  // namespace
 
-std::vector<Disagreement> CompareAgainstOracles(
-    const DatabaseScheme& scheme, const DifferentialOptions& options) {
-  return Comparator(scheme, options).Run();
+std::vector<Disagreement> CompareAgainstOracles(const DatabaseScheme& scheme,
+                                                uint64_t seed) {
+  return Comparator(scheme, seed).Run();
 }
 
-bool DisagreesOn(const DatabaseScheme& scheme,
-                 const DifferentialOptions& options,
+bool DisagreesOn(const DatabaseScheme& scheme, uint64_t seed,
                  const std::string& routine) {
-  for (const Disagreement& d : CompareAgainstOracles(scheme, options)) {
+  for (const Disagreement& d : CompareAgainstOracles(scheme, seed)) {
     if (d.routine == routine) return true;
   }
   return false;

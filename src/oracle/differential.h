@@ -46,39 +46,22 @@
 
 namespace ird::oracle {
 
-struct DifferentialOptions {
-  // Generated-state shape for the dynamic (state-level) comparisons.
-  size_t state_entities = 6;
-  double state_coverage = 0.7;
-  size_t insert_count = 8;
-  double conflict_rate = 0.4;
-  size_t projection_targets = 3;
-  // LSAT/WSAT grounding of the independence verdict.
-  size_t lsat_trials = 25;
-  size_t lsat_max_tuples = 2;
-  size_t lsat_domain = 2;
-  // Exponential-oracle guards: comparisons needing subset / set-partition
-  // enumeration are skipped above these relation counts.
-  size_t max_subset_enum = 12;
-  size_t max_partition_enum = 8;
-  // Seed for states, insert streams and projection targets.
-  uint64_t seed = 0;
-};
-
 struct Disagreement {
   std::string routine;  // stable tag, e.g. "split/lemma38"
   std::string detail;   // human-readable witness description
 };
 
 // Runs every applicable comparison. Empty result = full agreement. The
-// scheme must be valid (callers discard invalid mutants first).
-std::vector<Disagreement> CompareAgainstOracles(
-    const DatabaseScheme& scheme, const DifferentialOptions& options);
+// scheme must be valid (callers discard invalid mutants first). `seed`
+// drives the generated states, insert streams, projection targets and
+// LSAT/WSAT probes; their shapes and the exponential oracles' guards are
+// fixed in differential.cc.
+std::vector<Disagreement> CompareAgainstOracles(const DatabaseScheme& scheme,
+                                                uint64_t seed);
 
 // True iff some disagreement with this routine tag occurs — the shrink
 // predicate.
-bool DisagreesOn(const DatabaseScheme& scheme,
-                 const DifferentialOptions& options,
+bool DisagreesOn(const DatabaseScheme& scheme, uint64_t seed,
                  const std::string& routine);
 
 }  // namespace ird::oracle

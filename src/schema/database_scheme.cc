@@ -25,8 +25,8 @@ size_t DatabaseScheme::AddRelation(RelationScheme scheme) {
     IRD_CHECK_MSG(key.IsSubsetOf(scheme.attrs),
                   "key must be a subset of its scheme");
   }
+  fds_.AddAll(scheme.KeyDependencies());
   relations_.push_back(std::move(scheme));
-  cache_valid_ = false;
   ++revision_;
   return relations_.size() - 1;
 }
@@ -48,17 +48,6 @@ Result<size_t> DatabaseScheme::FindRelation(std::string_view name) const {
     if (relations_[i].name == name) return i;
   }
   return NotFound("no relation named '" + std::string(name) + "'");
-}
-
-const FdSet& DatabaseScheme::key_dependencies() const {
-  if (!cache_valid_) {
-    cached_fds_ = FdSet();
-    for (const RelationScheme& r : relations_) {
-      cached_fds_.AddAll(r.KeyDependencies());
-    }
-    cache_valid_ = true;
-  }
-  return cached_fds_;
 }
 
 FdSet DatabaseScheme::KeyDependenciesOf(
@@ -171,25 +160,9 @@ Status DatabaseScheme::Validate() const {
 }
 
 bool DatabaseScheme::IsBcnf() const {
-  const FdSet& f = key_dependencies();
+  auto closure_of = [&](const AttributeSet& x) { return fds_.Closure(x); };
   for (const RelationScheme& r : relations_) {
-    IRD_CHECK_MSG(r.attrs.Count() <= kMaxBcnfAttrs,
-                  "BCNF test is exponential; scheme too large");
-    // Enumerate X ⊆ r.attrs; a violation is a nontrivial embedded X -> A
-    // with X not a superkey of r.
-    std::vector<AttributeId> attrs = r.attrs.ToVector();
-    size_t n = attrs.size();
-    for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
-      AttributeSet x;
-      for (size_t b = 0; b < n; ++b) {
-        if ((mask >> b) & 1) x.Add(attrs[b]);
-      }
-      AttributeSet closure = f.Closure(x);
-      AttributeSet gained = closure.Intersect(r.attrs).Minus(x);
-      if (!gained.Empty() && !r.attrs.IsSubsetOf(closure)) {
-        return false;  // X -> gained embedded, X not a superkey of r
-      }
-    }
+    if (FindBcnfViolation(r, closure_of).has_value()) return false;
   }
   return true;
 }

@@ -7,7 +7,9 @@
 #ifndef IRD_SCHEMA_DATABASE_SCHEME_H_
 #define IRD_SCHEMA_DATABASE_SCHEME_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,17 +61,7 @@ class DatabaseScheme {
   }
   const std::vector<RelationScheme>& relations() const { return relations_; }
 
-  // Mutable access to a relation scheme, for in-place edits (key mutation
-  // tooling, tests). Conservatively counts as a mutation: bumps the
-  // revision and invalidates the FD cache even if the caller only reads.
-  RelationScheme& mutable_relation(size_t i) {
-    IRD_CHECK(i < relations_.size());
-    cache_valid_ = false;
-    ++revision_;
-    return relations_[i];
-  }
-
-  // Monotone mutation counter: bumped by AddRelation and mutable_relation.
+  // Monotone mutation counter, bumped by AddRelation (the only mutation).
   // SchemeAnalysis (src/engine) keys its caches on this to detect staleness
   // without observing the scheme's contents.
   uint64_t revision() const { return revision_; }
@@ -77,9 +69,10 @@ class DatabaseScheme {
   // Index of the relation named `name`.
   Result<size_t> FindRelation(std::string_view name) const;
 
-  // The full set of key dependencies F = F1 ∪ ... ∪ Fn. Rebuilt on demand
-  // after mutations; cached otherwise.
-  const FdSet& key_dependencies() const;
+  // The full set of key dependencies F = F1 ∪ ... ∪ Fn, in declaration
+  // order. AddRelation appends each relation's dependencies, so a const
+  // scheme holds no lazily built state and is safe to read concurrently.
+  const FdSet& key_dependencies() const { return fds_; }
 
   // Key dependencies embedded in the relations listed in `indices`.
   FdSet KeyDependenciesOf(const std::vector<size_t>& indices) const;
@@ -118,7 +111,8 @@ class DatabaseScheme {
   // BCNF wrt the key dependencies (paper §2.3): for every nontrivial
   // X -> Y ∈ F+ embedded in some Ri, X is a superkey of Ri. Exponential in
   // max |Ri| (inherent for projected dependencies); IRD_CHECKs that every
-  // relation has at most kMaxBcnfAttrs attributes.
+  // relation has at most kMaxBcnfAttrs attributes. The scan is
+  // FindBcnfViolation below with F's closure.
   static constexpr size_t kMaxBcnfAttrs = 20;
   bool IsBcnf() const;
 
@@ -128,10 +122,41 @@ class DatabaseScheme {
   std::shared_ptr<Universe> universe_;
   std::vector<RelationScheme> relations_;
   uint64_t revision_ = 0;
-  // Lazily built cache of key_dependencies().
-  mutable FdSet cached_fds_;
-  mutable bool cache_valid_ = false;
+  FdSet fds_;  // F, appended to by AddRelation
 };
+
+// A BCNF violation in one relation R: X ⊂ R with X -> A embedded for some
+// A ∈ R - X, although X is not a superkey of R.
+struct BcnfViolation {
+  AttributeSet lhs;      // X
+  AttributeSet closure;  // X+: meets R beyond X but misses part of R
+};
+
+// The BCNF subset scan of `r`: enumerates the nonempty X ⊆ r.attrs in
+// bitmask order over r.attrs and returns the first violation, or nullopt
+// when r is in BCNF. `closure_of(x)` must return X+ under F; callers choose
+// the closure source (FdSet::Closure in IsBcnf, a ClosureEngine in the
+// linter). Exponential in |r.attrs|, which must be at most kMaxBcnfAttrs.
+template <typename ClosureOf>
+std::optional<BcnfViolation> FindBcnfViolation(const RelationScheme& r,
+                                               const ClosureOf& closure_of) {
+  IRD_CHECK_MSG(r.attrs.Count() <= DatabaseScheme::kMaxBcnfAttrs,
+                "BCNF test is exponential; scheme too large");
+  std::vector<AttributeId> attrs = r.attrs.ToVector();
+  const size_t n = attrs.size();
+  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
+    AttributeSet x;
+    for (size_t b = 0; b < n; ++b) {
+      if ((mask >> b) & 1) x.Add(attrs[b]);
+    }
+    AttributeSet closure = closure_of(x);
+    if (!closure.Intersect(r.attrs).Minus(x).Empty() &&
+        !r.attrs.IsSubsetOf(closure)) {
+      return BcnfViolation{std::move(x), std::move(closure)};
+    }
+  }
+  return std::nullopt;
+}
 
 }  // namespace ird
 

@@ -27,39 +27,51 @@ bool IsLosslessSubset(const DatabaseScheme& scheme,
   return IsLosslessSubset(scheme, subset, scheme.key_dependencies());
 }
 
+namespace {
+
+std::vector<size_t> SubsetOf(const std::vector<size_t>& pool, uint64_t mask) {
+  std::vector<size_t> subset;
+  for (size_t b = 0; b < pool.size(); ++b) {
+    if ((mask >> b) & 1) subset.push_back(pool[b]);
+  }
+  return subset;
+}
+
+// The one enumeration: every nonempty subset of `pool`, as a bitmask over
+// pool positions in increasing order, that covers x and is lossless.
+std::vector<uint64_t> LosslessMasksCovering(const DatabaseScheme& scheme,
+                                            const std::vector<size_t>& pool,
+                                            const AttributeSet& x,
+                                            const FdSet& ambient_fds) {
+  IRD_CHECK_MSG(pool.size() <= kMaxLosslessSubsetPool,
+                "lossless-subset enumeration is exponential; pool too large");
+  std::vector<uint64_t> masks;
+  for (uint64_t mask = 1; mask < (uint64_t{1} << pool.size()); ++mask) {
+    std::vector<size_t> subset = SubsetOf(pool, mask);
+    if (!x.IsSubsetOf(scheme.UnionAttrs(subset))) continue;
+    if (IsLosslessSubset(scheme, subset, ambient_fds)) masks.push_back(mask);
+  }
+  return masks;
+}
+
+}  // namespace
+
 std::vector<std::vector<size_t>> MinimalLosslessSubsetsCovering(
     const DatabaseScheme& scheme, const std::vector<size_t>& pool,
     const AttributeSet& x, const FdSet& ambient_fds) {
-  IRD_CHECK_MSG(pool.size() <= 20,
-                "lossless-subset enumeration is exponential; pool too large");
-  const size_t n = pool.size();
-  std::vector<uint64_t> qualifying;  // bitmask over pool positions
-  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
-    std::vector<size_t> subset;
-    for (size_t b = 0; b < n; ++b) {
-      if ((mask >> b) & 1) subset.push_back(pool[b]);
-    }
-    if (!x.IsSubsetOf(scheme.UnionAttrs(subset))) continue;
-    if (IsLosslessSubset(scheme, subset, ambient_fds)) {
-      qualifying.push_back(mask);
-    }
-  }
+  std::vector<uint64_t> masks =
+      LosslessMasksCovering(scheme, pool, x, ambient_fds);
   // Keep only masks with no qualifying proper subset.
   std::vector<std::vector<size_t>> out;
-  for (uint64_t mask : qualifying) {
+  for (uint64_t mask : masks) {
     bool minimal = true;
-    for (uint64_t other : qualifying) {
+    for (uint64_t other : masks) {
       if (other != mask && (other & mask) == other) {
         minimal = false;
         break;
       }
     }
-    if (!minimal) continue;
-    std::vector<size_t> subset;
-    for (size_t b = 0; b < n; ++b) {
-      if ((mask >> b) & 1) subset.push_back(pool[b]);
-    }
-    out.push_back(std::move(subset));
+    if (minimal) out.push_back(SubsetOf(pool, mask));
   }
   return out;
 }
@@ -74,19 +86,9 @@ std::vector<std::vector<size_t>> MinimalLosslessSubsetsCovering(
 std::vector<std::vector<size_t>> AllLosslessSubsetsCovering(
     const DatabaseScheme& scheme, const std::vector<size_t>& pool,
     const AttributeSet& x, const FdSet& ambient_fds) {
-  IRD_CHECK_MSG(pool.size() <= 20,
-                "lossless-subset enumeration is exponential; pool too large");
-  const size_t n = pool.size();
   std::vector<std::vector<size_t>> out;
-  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
-    std::vector<size_t> subset;
-    for (size_t b = 0; b < n; ++b) {
-      if ((mask >> b) & 1) subset.push_back(pool[b]);
-    }
-    if (!x.IsSubsetOf(scheme.UnionAttrs(subset))) continue;
-    if (IsLosslessSubset(scheme, subset, ambient_fds)) {
-      out.push_back(std::move(subset));
-    }
+  for (uint64_t mask : LosslessMasksCovering(scheme, pool, x, ambient_fds)) {
+    out.push_back(SubsetOf(pool, mask));
   }
   return out;
 }

@@ -33,13 +33,18 @@ bool IsLosslessSubset(const DatabaseScheme& scheme,
 bool IsLosslessSubset(const DatabaseScheme& scheme,
                       const std::vector<size_t>& subset);
 
+// The subset enumerations below are exponential in |pool| (inherent: there
+// can be exponentially many lossless subsets) and IRD_CHECK that the pool
+// has at most this many relations. Callers facing user input compare
+// first (ird_shell refuses a query past it).
+inline constexpr size_t kMaxLosslessSubsetPool = 20;
+
 // All *minimal* subsets S of `pool` (indices into `scheme`) such that S is
-// lossless wrt `ambient_fds` and ∪S ⊇ x. Minimal means no proper subset
-// qualifies; by the monotonicity of projections over lossless joins,
-// minimal subsets suffice to compute the union of Corollary 3.1(b).
-//
-// Exponential in |pool| (inherent: there can be exponentially many);
-// guarded at |pool| <= 20.
+// lossless wrt `ambient_fds` and ∪S ⊇ x: the minimal members of what
+// AllLosslessSubsetsCovering enumerates, which chases the same subsets in
+// the same order. Minimal means no proper subset qualifies; by the
+// monotonicity of projections over lossless joins, minimal subsets suffice
+// to compute the union of Corollary 3.1(b).
 std::vector<std::vector<size_t>> MinimalLosslessSubsetsCovering(
     const DatabaseScheme& scheme, const std::vector<size_t>& pool,
     const AttributeSet& x, const FdSet& ambient_fds);
@@ -53,7 +58,7 @@ std::vector<std::vector<size_t>> MinimalLosslessSubsetsCovering(
 // key-value lookup needs the non-minimal ones too: among the nonempty
 // single-tuple selections σ_{K='k'}(E_i) the *greatest* (largest attribute
 // union) expression carries the total tuple, and the greatest is typically
-// not minimal. Same exponential guard as above.
+// not minimal. Subsets come in bitmask order over pool positions.
 std::vector<std::vector<size_t>> AllLosslessSubsetsCovering(
     const DatabaseScheme& scheme, const std::vector<size_t>& pool,
     const AttributeSet& x, const FdSet& ambient_fds);

@@ -32,12 +32,12 @@ TEST(CorpusReplay, EveryEntryParsesValidatesAndAgrees) {
   ASSERT_FALSE(corpus->empty())
       << "no .scheme files under " << CorpusDir()
       << " — corpus missing or IRD_CORPUS_DIR misconfigured";
-  DifferentialOptions opt;
   for (const CorpusEntry& entry : *corpus) {
     SCOPED_TRACE(entry.filename);
     ASSERT_TRUE(entry.scheme.Validate().ok())
         << entry.scheme.Validate().ToString();
-    for (const Disagreement& d : CompareAgainstOracles(entry.scheme, opt)) {
+    for (const Disagreement& d :
+         CompareAgainstOracles(entry.scheme, /*seed=*/0)) {
       ADD_FAILURE() << entry.filename << ": " << d.routine << ": "
                     << d.detail;
     }

@@ -4,7 +4,9 @@
 // be a rubber stamp).
 
 #include <algorithm>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "diagnostics/render.h"
 #include "diagnostics/verify.h"
 #include "gtest/gtest.h"
+#include "hypergraph/gamma_cycle.h"
 #include "schema/database_scheme.h"
 
 namespace ird::diagnostics {
@@ -219,6 +222,109 @@ TEST(Render, SchemeReportCarriesVerdictsAndDiagnostics) {
   EXPECT_NE(report.find("independence-reducible"), std::string::npos);
   EXPECT_NE(report.find("diagnostics:"), std::string::npos);
   EXPECT_NE(report.find("recognition-rejected"), std::string::npos);
+}
+
+// --- The scheme report explains its verdicts ---------------------------------
+
+// The value printed after "<label>:" in a scheme report ("yes", "no", "not
+// tested (...)", ...), or "" when the line is absent.
+std::string Verdict(const std::string& report, const std::string& label) {
+  std::istringstream lines(report);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(label + ":", 0) != 0) continue;
+    size_t value = line.find_first_not_of(' ', label.size() + 1);
+    return value == std::string::npos ? "" : line.substr(value);
+  }
+  return "";
+}
+
+bool HasRule(const std::string& report, RuleId rule) {
+  return report.find(std::string("[") + RuleName(rule) + "] ") !=
+         std::string::npos;
+}
+
+// Classifier and linter share each search and its bound, so a verdict the
+// report states is explained by its rule exactly: "no" comes with the
+// diagnostic, "yes" without it. Returns the report.
+std::string ExpectVerdictsExplained(const DatabaseScheme& scheme) {
+  std::string report = FormatSchemeReport(scheme);
+  const std::pair<const char*, RuleId> pairs[] = {
+      {"BCNF", RuleId::kUnsoundEmbeddedCover},
+      {"gamma-acyclic", RuleId::kGammaCycle},
+      {"key-equivalent", RuleId::kNonKeyEquivalent},
+      {"independence-reducible", RuleId::kRecognitionRejected},
+  };
+  for (const auto& [label, rule] : pairs) {
+    std::string verdict = Verdict(report, label);
+    if (verdict == "no") {
+      EXPECT_TRUE(HasRule(report, rule)) << label << ": no\n" << report;
+    } else if (verdict == "yes") {
+      EXPECT_FALSE(HasRule(report, rule)) << label << ": yes\n" << report;
+    }
+  }
+  // An accepted scheme prints its partition; a split block (starred)
+  // comes with a split key, and a split-free one without.
+  if (Verdict(report, "independence-reducible") == "yes") {
+    bool split_block = Verdict(report, "partition").find("}*") !=
+                       std::string::npos;
+    EXPECT_EQ(split_block, HasRule(report, RuleId::kSplitKey)) << report;
+  }
+  return report;
+}
+
+std::string Numbered(const std::string& stem, size_t i) {
+  return stem + std::to_string(i);
+}
+
+// Ri(Ai Ai+1) keys (Ai) (Ai+1), closed into a ring by Rn(An A1).
+DatabaseScheme Ring(size_t n) {
+  DatabaseScheme scheme = DatabaseScheme::Create();
+  Universe& u = *scheme.universe_ptr();
+  for (size_t i = 1; i <= n; ++i) {
+    AttributeId a = u.Intern(Numbered("A", i));
+    AttributeId b = u.Intern(Numbered("A", i % n + 1));
+    scheme.AddRelation(RelationScheme(Numbered("R", i), AttributeSet{a, b},
+                                      {AttributeSet{a}, AttributeSet{b}}));
+  }
+  return scheme;
+}
+
+// Wide(A1 .. An) keys (A1), plus Dep(A2 A3) keys (A2): for n >= 3 the
+// hidden dependency A2 -> A3 is embedded in Wide, and A2 is no superkey.
+DatabaseScheme WideWithHiddenDependency(size_t n) {
+  DatabaseScheme scheme = DatabaseScheme::Create();
+  Universe& u = *scheme.universe_ptr();
+  AttributeSet wide;
+  for (size_t i = 1; i <= n; ++i) wide.Add(u.Intern(Numbered("A", i)));
+  AttributeId a1 = u.Intern("A1"), a2 = u.Intern("A2"), a3 = u.Intern("A3");
+  scheme.AddRelation(RelationScheme("Wide", wide, {AttributeSet{a1}}));
+  scheme.AddRelation(
+      RelationScheme("Dep", AttributeSet{a2, a3}, {AttributeSet{a2}}));
+  return scheme;
+}
+
+TEST(SchemeReport, RingsUpToTheGammaBoundShowTheirCycle) {
+  for (size_t n = 3; n <= kMaxGammaCycleEdges; ++n) {
+    SCOPED_TRACE(Numbered("ring of ", n));
+    std::string report = ExpectVerdictsExplained(Ring(n));
+    EXPECT_EQ(Verdict(report, "gamma-acyclic"), "no");
+    EXPECT_TRUE(HasRule(report, RuleId::kGammaCycle));
+  }
+}
+
+TEST(SchemeReport, WideRelationsUpToTheBcnfBoundShowTheirHiddenDependency) {
+  for (size_t n = 2; n <= DatabaseScheme::kMaxBcnfAttrs; ++n) {
+    SCOPED_TRACE("relation of " + std::to_string(n) + " attributes");
+    std::string report = ExpectVerdictsExplained(WideWithHiddenDependency(n));
+    EXPECT_EQ(Verdict(report, "BCNF"), n >= 3 ? "no" : "yes");
+  }
+}
+
+TEST(SchemeReport, PaperExamplesExplainTheirVerdicts) {
+  ExpectVerdictsExplained(RejectedTriangle());
+  ExpectVerdictsExplained(SplitKeyScheme());
+  ExpectVerdictsExplained(University());
 }
 
 }  // namespace

@@ -148,15 +148,14 @@ class DifferentialFuzz : public ::testing::Test {
         if (++failures >= 3) break;
       }
 
-      DifferentialOptions opt;
-      opt.seed = base_seed + i;
-      std::vector<Disagreement> found = CompareAgainstOracles(scheme, opt);
+      const uint64_t seed = base_seed + i;
+      std::vector<Disagreement> found = CompareAgainstOracles(scheme, seed);
       if (found.empty()) continue;
       ++failures;
       const Disagreement& first = found[0];
       DatabaseScheme small = ShrinkScheme(
           scheme, [&](const DatabaseScheme& s) {
-            return DisagreesOn(s, opt, first.routine);
+            return DisagreesOn(s, seed, first.routine);
           });
       std::string name = Sanitize(first.routine) + "-" + family.name + "-s" +
                          std::to_string(base_seed) + "-" + std::to_string(i);

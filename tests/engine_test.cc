@@ -139,20 +139,6 @@ TEST(SchemeAnalysisTest, AddRelationInvalidatesCaches) {
                         "Example2+R4");
 }
 
-TEST(SchemeAnalysisTest, KeyMutationInvalidatesCaches) {
-  DatabaseScheme scheme = test::Example2();
-  SchemeAnalysis analysis(scheme);
-  AttributeSet a = scheme.universe_ptr()->Chars("A");
-  AttributeSet ac = scheme.universe_ptr()->Chars("AC");
-  EXPECT_EQ(analysis.FullClosure(a), ac);
-
-  // Shrink R1(AB)'s key from AB to A: F gains A -> AB, so A now reaches
-  // everything.
-  scheme.mutable_relation(0).keys[0] = a;
-  EXPECT_EQ(analysis.FullClosure(a), scheme.AllAttrs());
-  EXPECT_EQ(analysis.seen_revision(), scheme.revision());
-}
-
 std::string ClassificationLine(SchemeAnalysis& analysis) {
   SchemeClassification c = ClassifyScheme(analysis);
   std::string line;
@@ -191,9 +177,8 @@ TEST(BatchAnalyzerTest, EveryIndexRunsExactlyOnce) {
 
 TEST(BatchAnalyzerTest, ParallelAnalysisMatchesSerial) {
   std::vector<NamedScheme> examples = PaperExamples();
-  // Repeat the example list to give the pool something to contend over.
-  // Every slot gets its OWN DatabaseScheme copy: the scheme's lazy FD
-  // cache is not thread-safe, so two workers must never share one object.
+  // Repeat the example list to give the pool something to contend over,
+  // one DatabaseScheme copy per slot.
   std::vector<DatabaseScheme> copies;
   for (size_t rep = 0; rep < 8; ++rep) {
     for (const NamedScheme& example : examples) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ctm_maintainer.h"
+#include "core/expression_maintenance.h"
 #include "core/key_equivalent_maintainer.h"
 #include "core/sharded_maintainer.h"
 #include "core/split.h"
@@ -88,6 +89,50 @@ TEST(Algorithm2Test, Example7RejectsTheInsert) {
   Result<PartialTuple> accept = m->CheckInsert(2, Tuple(s, "AE", {a, e1}));
   ASSERT_TRUE(accept.ok());
   EXPECT_EQ(accept->At(s.universe().Find("B").value()), b);
+}
+
+TEST(Algorithm2Test, StepEightQueuesAKeyTheJoinEmbeds) {
+  // One key-equivalent block: R1(AB){A} R2(AC){A} R3(BCD){BC} R4(DA){D}.
+  // BC is split (R1 and R2 cover it, neither contains it), so the block
+  // runs Algorithm 2. Inserting <a1,b1> into R1 starts the worklist with A
+  // alone; the lookup on a1 yields <a1,c1>, which puts BC into the closure,
+  // and only step (8) queues it. The lookup on b1c1 then yields the total
+  // tuple <a,b1,c1,d1> (b1c1 -> d1 -> a), which contradicts a1 unless a is
+  // a1.
+  DatabaseScheme s = DatabaseScheme::Create();
+  s.AddRelation("R1", "AB", {"A"});
+  s.AddRelation("R2", "AC", {"A"});
+  s.AddRelation("R3", "BCD", {"BC"});
+  s.AddRelation("R4", "DA", {"D"});
+  ASSERT_FALSE(IsSplitFree(s));
+  constexpr Value a1 = 1, a2 = 2, b1 = 3, c1 = 4, d1 = 5;
+  const PartialTuple insert = Tuple(s, "AB", {a1, b1});
+  for (Value a : {a2, a1}) {
+    SCOPED_TRACE(a == a1 ? "R4 holds <d1,a1>" : "R4 holds <d1,a2>");
+    DatabaseState state(s);
+    state.mutable_relation(1).Add(Tuple(s, "AC", {a1, c1}));
+    state.mutable_relation(2).Add(Tuple(s, "BCD", {b1, c1, d1}));
+    state.mutable_relation(3).Add(Tuple(s, "DA", {d1, a}));
+    ASSERT_TRUE(IsConsistent(state));
+    const bool consistent = a == a1;
+    ASSERT_EQ(WouldRemainConsistent(state, 0, insert), consistent);
+
+    // Representative-instance lookups: A, then the BC step (8) queued.
+    Alg2Kernel kernel(state);
+    ASSERT_TRUE(kernel.ok());
+    MaintenanceStats stats;
+    EXPECT_EQ(kernel.CheckInsert(0, insert, &stats).ok(), consistent);
+    EXPECT_GE(stats.keys_processed, 2u);
+    // The §3.2 expression lookups run the same worklist.
+    ExpressionLookupPlan plan = ExpressionLookupPlan::Build(s);
+    EXPECT_EQ(CheckInsertByExpressions(s, plan, state, 0, insert).ok(),
+              consistent);
+    // The block router picks Algorithm 2 for the split block.
+    Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    ASSERT_FALSE(m->IsCtm());
+    EXPECT_EQ(m->CheckInsert(0, insert).ok(), consistent);
+  }
 }
 
 TEST(Algorithm2Test, AcceptReturnsExtendedTuple) {
