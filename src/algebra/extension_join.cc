@@ -2,19 +2,22 @@
 
 #include <algorithm>
 
+#include "fd/closure_engine.h"
+
 namespace ird {
 
 bool IsExtensionJoinSequence(const DatabaseScheme& scheme,
                              const std::vector<size_t>& order,
                              const FdSet& fds) {
   if (order.empty()) return false;
+  ClosureEngine f(fds);
   AttributeSet prefix = scheme.relation(order[0]).attrs;
   for (size_t i = 1; i < order.size(); ++i) {
     const AttributeSet& next = scheme.relation(order[i]).attrs;
     AttributeSet shared = prefix.Intersect(next);
     AttributeSet gained = next.Minus(prefix);
     if (shared.Empty()) return false;  // a cartesian step, not an extension
-    if (!fds.Implies(shared, gained)) return false;
+    if (!f.Implies(shared, gained)) return false;
     prefix.UnionWith(next);
   }
   return true;
@@ -22,7 +25,7 @@ bool IsExtensionJoinSequence(const DatabaseScheme& scheme,
 
 namespace {
 
-bool ExtendOrder(const DatabaseScheme& scheme, const FdSet& fds,
+bool ExtendOrder(const DatabaseScheme& scheme, const ClosureEngine& f,
                  const std::vector<size_t>& subset,
                  std::vector<bool>* used, AttributeSet* prefix,
                  std::vector<size_t>* order) {
@@ -33,13 +36,13 @@ bool ExtendOrder(const DatabaseScheme& scheme, const FdSet& fds,
     AttributeSet shared = prefix->Intersect(next);
     AttributeSet gained = next.Minus(*prefix);
     bool ok = order->empty() ||
-              (!shared.Empty() && fds.Implies(shared, gained));
+              (!shared.Empty() && f.Implies(shared, gained));
     if (!ok) continue;
     (*used)[i] = true;
     order->push_back(subset[i]);
     AttributeSet saved = *prefix;
     prefix->UnionWith(next);
-    if (ExtendOrder(scheme, fds, subset, used, prefix, order)) return true;
+    if (ExtendOrder(scheme, f, subset, used, prefix, order)) return true;
     *prefix = saved;
     order->pop_back();
     (*used)[i] = false;
@@ -56,7 +59,8 @@ std::optional<std::vector<size_t>> FindExtensionJoinOrder(
   std::vector<bool> used(subset.size(), false);
   std::vector<size_t> order;
   AttributeSet prefix;
-  if (ExtendOrder(scheme, fds, subset, &used, &prefix, &order)) {
+  if (ExtendOrder(scheme, ClosureEngine(fds), subset, &used, &prefix,
+                  &order)) {
     return order;
   }
   return std::nullopt;
@@ -77,6 +81,7 @@ bool AdmitsExtensionJoinTree(const DatabaseScheme& scheme,
       }
     }
   }
+  ClosureEngine f(fds);
   std::vector<int8_t> memo(uint64_t{1} << n, -1);
   // admits[mask]: the sub-multiset can be bracketed into an extension tree.
   auto admits = [&](auto&& self, uint64_t mask) -> bool {
@@ -95,7 +100,7 @@ bool AdmitsExtensionJoinTree(const DatabaseScheme& scheme,
       const AttributeSet& u2 = union_of[right];
       AttributeSet shared = u1.Intersect(u2);
       if (shared.Empty()) continue;
-      if (!fds.Implies(shared, u2.Minus(u1))) continue;
+      if (!f.Implies(shared, u2.Minus(u1))) continue;
       if (self(self, left) && self(self, right)) ok = true;
     }
     memo[mask] = ok ? 1 : 0;

@@ -11,63 +11,48 @@ namespace ird {
 
 namespace {
 
-// The Lemma 3.8 test body: W = pool members not containing K, probed with
-// `closure_of` (so the scheme-only and engine-backed entry points share the
-// logic but not the closure source).
-template <typename ClosureOf>
-bool KeySplitIn(const DatabaseScheme& scheme, const AttributeSet& key,
-                const std::vector<size_t>& p, ClosureOf closure_of) {
-  IRD_DCHECK(!key.Empty());
-  // W = schemes of the pool not containing K; G = their key dependencies.
+// W = the pool members not containing K (Lemma 3.8).
+std::vector<size_t> MembersWithout(const DatabaseScheme& scheme,
+                                   const AttributeSet& key,
+                                   const std::vector<size_t>& pool) {
   std::vector<size_t> w;
-  for (size_t i : p) {
+  for (size_t i : scheme.PoolOrAll(pool)) {
     IRD_DCHECK(i < scheme.size());
     if (!key.IsSubsetOf(scheme.relation(i).attrs)) w.push_back(i);
   }
-  // Lemma 3.8 via BMSU: the row for Wi in CHASE_G(T_W) is all-dv on K iff
-  // K ⊆ Closure_G(Wi).
-  for (size_t i : w) {
-    IRD_COUNT(split.cover_checks);
-    if (key.IsSubsetOf(closure_of(w, scheme.relation(i).attrs))) return true;
-  }
-  return false;
+  return w;
 }
 
 }  // namespace
 
 bool IsKeySplit(const DatabaseScheme& scheme, const AttributeSet& key,
                 const std::vector<size_t>& pool) {
-  FdSet g;
-  bool built = false;
-  return KeySplitIn(scheme, key, scheme.PoolOrAll(pool),
-                    [&](const std::vector<size_t>& w, const AttributeSet& x) {
-                      if (!built) {
-                        g = scheme.KeyDependenciesOf(w);
-                        built = true;
-                      }
-                      return g.Closure(x);
-                    });
+  SchemeAnalysis analysis(scheme);
+  return IsKeySplit(analysis, key, pool);
 }
 
 bool IsKeySplit(SchemeAnalysis& analysis, const AttributeSet& key,
                 const std::vector<size_t>& pool) {
+  IRD_DCHECK(!key.Empty());
   const DatabaseScheme& scheme = analysis.scheme();
-  return KeySplitIn(
-      scheme, key, scheme.PoolOrAll(pool),
-      [&](const std::vector<size_t>& w, const AttributeSet& x) {
-        // W is nonempty here (the loop only probes members of W), so the
-        // empty-pool-means-full convention of Closure is never tripped.
-        return analysis.Closure(w, x);
-      });
+  // G = the key dependencies of W. Lemma 3.8 via BMSU: the row for Wi in
+  // CHASE_G(T_W) is all-dv on K iff K ⊆ Closure_G(Wi). W is nonempty
+  // inside the loop, so Closure's empty-pool-means-full convention is
+  // never tripped.
+  std::vector<size_t> w = MembersWithout(scheme, key, pool);
+  for (size_t i : w) {
+    IRD_COUNT(split.cover_checks);
+    if (key.IsSubsetOf(analysis.Closure(w, scheme.relation(i).attrs))) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::vector<size_t> CoveringFragments(const DatabaseScheme& scheme,
                                       const AttributeSet& key,
                                       const std::vector<size_t>& pool) {
-  std::vector<size_t> w;
-  for (size_t i : scheme.PoolOrAll(pool)) {
-    if (!key.IsSubsetOf(scheme.relation(i).attrs)) w.push_back(i);
-  }
+  std::vector<size_t> w = MembersWithout(scheme, key, pool);
   for (size_t start : w) {
     SchemeClosure closure = ComputeSchemeClosure(scheme, start, w);
     if (!key.IsSubsetOf(closure.closure)) continue;
@@ -134,13 +119,8 @@ bool IsKeySplitByDefinition(const DatabaseScheme& scheme,
 
 std::vector<AttributeSet> SplitKeys(const DatabaseScheme& scheme,
                                     const std::vector<size_t>& pool) {
-  IRD_SPAN("split");
-  std::vector<size_t> p = scheme.PoolOrAll(pool);
-  std::vector<AttributeSet> split;
-  for (const AttributeSet& key : scheme.DistinctKeys(p)) {
-    if (IsKeySplit(scheme, key, p)) split.push_back(key);
-  }
-  return split;
+  SchemeAnalysis analysis(scheme);
+  return SplitKeys(analysis, pool);
 }
 
 const std::vector<AttributeSet>& SplitKeys(SchemeAnalysis& analysis,

@@ -7,9 +7,10 @@
 // Two implementations:
 //  * IsKeySplit — the efficient test of Lemma 3.8 (polynomial): K is split
 //    iff some scheme not containing K reaches, via the key dependencies of
-//    the schemes not containing K, a closure that covers K. The
-//    SchemeAnalysis overloads run the W-cover closures through the shared
-//    memoized engines, and SplitKeys caches its answer per pool.
+//    the schemes not containing K, a closure that covers K. The body takes
+//    a SchemeAnalysis, whose memoized engines close against W's cover, and
+//    SplitKeys caches its answer per pool; the DatabaseScheme overloads
+//    build a local analysis and delegate.
 //  * IsKeySplitByDefinition — exhaustive search over partial computations
 //    of the closures (exponential; for cross-validation on small schemes).
 //    Scheme-only on purpose: it computes no FD closures and the oracle

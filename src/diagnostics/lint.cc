@@ -265,11 +265,10 @@ void CheckEmbeddedCover(SchemeAnalysis& analysis,
   // Raw engine: the 2^k subset probes are all distinct, so memoizing them
   // would only bloat the closure memo.
   const ClosureEngine& f = analysis.EngineFor({});
-  auto closure_of = [&](const AttributeSet& x) { return f.Closure(x); };
   for (size_t i = 0; i < scheme.size(); ++i) {
     const RelationScheme& r = scheme.relation(i);
     if (r.attrs.Count() > DatabaseScheme::kMaxBcnfAttrs) continue;
-    std::optional<BcnfViolation> v = FindBcnfViolation(r, closure_of);
+    std::optional<BcnfViolation> v = FindBcnfViolation(r, f);
     if (!v.has_value()) continue;
     const AttributeSet& x = v->lhs;
     AttributeId determined = v->closure.Intersect(r.attrs).Minus(x).First();

@@ -39,9 +39,8 @@ ClosureEngine::ClosureEngine(const FdSet& fds) {
 }
 
 AttributeSet ClosureEngine::Closure(const AttributeSet& x) const {
-  // closure.iterations counts FD firings here (each FD fires at most once,
-  // so iterations <= |F| per computation; the naive FdSet::Closure counts
-  // scan passes, bounded by |F|+1 — obs_invariants_test asserts both).
+  // closure.iterations counts FD firings (each FD fires at most once, so
+  // iterations <= |F| per computation; obs_invariants_test asserts it).
   // Firings are tallied locally and flushed once on return: this function
   // is the engine's innermost hot loop and a per-firing atomic costs
   // measurable time even relaxed.

@@ -1,9 +1,10 @@
-// ClosureEngine: repeated attribute-set closures against one fixed FD set,
-// in time linear in the size of F per query (Beeri–Bernstein counting
-// algorithm). FdSet::Closure re-scans the dependency list to a fixpoint —
-// fine for one-off queries; the recognition pipeline (KEP, the uniqueness
-// condition, split tests) computes thousands of closures against the same
-// set, which is this engine's job.
+// ClosureEngine: attribute-set closures against one fixed FD set, in time
+// linear in the size of F per query (Beeri–Bernstein counting algorithm).
+// It is the library's one closure algorithm outside oracle/ (whose
+// NaiveClosure is the independent reference): FdSet::Closure builds one for
+// a one-off query, and code that closes many sets against one F — key
+// minimality, the BCNF scan, KEP, the uniqueness condition, the split test
+// — builds one for the whole loop or asks SchemeAnalysis for its engines.
 
 #ifndef IRD_FD_CLOSURE_ENGINE_H_
 #define IRD_FD_CLOSURE_ENGINE_H_

@@ -1,8 +1,6 @@
 #include "fd/fd_set.h"
 
-#include <algorithm>
-
-#include "obs/obs.h"
+#include "fd/closure_engine.h"
 
 namespace ird {
 
@@ -11,35 +9,13 @@ void FdSet::AddAll(const FdSet& other) {
 }
 
 AttributeSet FdSet::Closure(const AttributeSet& x) const {
-  IRD_COUNT(closure.computations);
-  AttributeSet closure = x;
-  // Fixpoint: keep applying FDs whose left side is already covered. A used[]
-  // mask keeps each FD from firing more than once (once applied, reapplying
-  // adds nothing).
-  std::vector<bool> used(fds_.size(), false);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // One scan pass; every productive pass fires at least one FD, so the
-    // pass count is at most |F|+1 per computation.
-    IRD_COUNT(closure.iterations);
-    for (size_t i = 0; i < fds_.size(); ++i) {
-      if (used[i]) continue;
-      if (fds_[i].lhs.IsSubsetOf(closure)) {
-        used[i] = true;
-        if (!fds_[i].rhs.IsSubsetOf(closure)) {
-          closure.UnionWith(fds_[i].rhs);
-          changed = true;
-        }
-      }
-    }
-  }
-  return closure;
+  return ClosureEngine(*this).Closure(x);
 }
 
 bool FdSet::Covers(const FdSet& other) const {
+  ClosureEngine engine(*this);
   for (const FunctionalDependency& fd : other.fds_) {
-    if (!Implies(fd)) return false;
+    if (!engine.Implies(fd.lhs, fd.rhs)) return false;
   }
   return true;
 }
@@ -60,7 +36,9 @@ FdSet FdSet::MinimalCover() const {
   FdSet g = StandardForm();
 
   // Step 2: remove extraneous left-side attributes. X -> A can shrink to
-  // (X - B) -> A whenever A ∈ (X - B)+ wrt G.
+  // (X - B) -> A whenever A ∈ (X - B)+ wrt G. A shrink leaves G+ as it
+  // was, so one engine over the starting G answers every test.
+  const ClosureEngine engine(g);
   for (FunctionalDependency& fd : g.fds_) {
     bool shrunk = true;
     while (shrunk) {
@@ -72,7 +50,7 @@ FdSet FdSet::MinimalCover() const {
         if (fd.lhs.Count() <= 1) break;
         AttributeSet reduced = fd.lhs;
         reduced.Remove(b);
-        if (fd.rhs.IsSubsetOf(g.Closure(reduced))) {
+        if (engine.Implies(reduced, fd.rhs)) {
           fd.lhs = reduced;
           shrunk = true;
           break;
@@ -81,21 +59,13 @@ FdSet FdSet::MinimalCover() const {
     }
   }
 
-  // Step 3: drop redundant FDs (those implied by the rest).
-  FdSet out;
-  for (size_t i = 0; i < g.fds_.size(); ++i) {
-    FdSet rest;
-    for (size_t j = 0; j < g.fds_.size(); ++j) {
-      if (j != i) rest.Add(g.fds_[j]);
-    }
-    rest.AddAll(out);  // keep already-accepted FDs available
-    // `rest` double-counts accepted FDs; harmless for closure computation.
-    if (!rest.Implies(g.fds_[i])) {
-      out.Add(g.fds_[i]);
-      // Mark as kept by leaving it in g for later redundancy checks.
-    } else {
-      g.fds_[i].rhs = g.fds_[i].lhs;  // neutralize: becomes trivial
-    }
+  // Step 3: drop redundant FDs, those the others imply. Each FD is tested
+  // neutralized in place (made trivial) and restored if the rest miss it,
+  // so later tests see the FDs kept so far and the ones not yet tested.
+  for (FunctionalDependency& fd : g.fds_) {
+    const FunctionalDependency tested = fd;
+    fd.rhs = fd.lhs;
+    if (!g.Implies(tested)) fd = tested;
   }
   // Remove the neutralized (trivial) FDs.
   FdSet minimal;
@@ -114,13 +84,14 @@ FdSet FdSet::ProjectOnto(const AttributeSet& scheme) const {
   AttributeId attrs[24];
   size_t n = 0;
   scheme.ForEach([&](AttributeId a) { attrs[n++] = a; });
+  ClosureEngine engine(*this);
   FdSet projected;
   for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
     AttributeSet x;
     for (size_t i = 0; i < n; ++i) {
       if ((mask >> i) & 1) x.Add(attrs[i]);
     }
-    AttributeSet rhs = Closure(x).Intersect(scheme).Minus(x);
+    AttributeSet rhs = engine.Closure(x).Intersect(scheme).Minus(x);
     if (!rhs.Empty()) {
       projected.Add(std::move(x), std::move(rhs));
     }

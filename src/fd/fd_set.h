@@ -36,7 +36,8 @@ class FdSet {
   bool empty() const { return fds_.empty(); }
 
   // The closure X+ of X wrt this set: all attributes A with X -> A ∈ F+.
-  // Linear-ish fixpoint; the workhorse primitive of the library.
+  // A one-off query: builds a ClosureEngine over this set and asks it
+  // once. Code that closes many sets against one F builds the engine once.
   AttributeSet Closure(const AttributeSet& x) const;
 
   // True iff X -> Y ∈ F+.

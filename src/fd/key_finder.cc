@@ -1,6 +1,6 @@
 #include "fd/key_finder.h"
 
-#include <algorithm>
+#include "fd/closure_engine.h"
 
 namespace ird {
 
@@ -38,20 +38,22 @@ bool ForEachSubsetOfSize(const AttributeId* attrs, size_t n, size_t k,
 bool IsCandidateKey(const AttributeSet& key, const AttributeSet& scheme,
                     const FdSet& fds) {
   if (key.Empty() || !key.IsSubsetOf(scheme)) return false;
-  if (!fds.Implies(key, scheme)) return false;
+  ClosureEngine f(fds);
+  if (!f.Implies(key, scheme)) return false;
   bool minimal = true;
   key.ForEach([&](AttributeId a) {
     if (!minimal) return;
     AttributeSet smaller = key;
     smaller.Remove(a);
-    if (fds.Implies(smaller, scheme)) minimal = false;
+    if (f.Implies(smaller, scheme)) minimal = false;
   });
   return minimal;
 }
 
 AttributeSet ReduceToKey(const AttributeSet& superkey,
                          const AttributeSet& scheme, const FdSet& fds) {
-  IRD_CHECK_MSG(fds.Implies(superkey, scheme),
+  ClosureEngine f(fds);
+  IRD_CHECK_MSG(f.Implies(superkey, scheme),
                 "ReduceToKey: input is not a superkey");
   AttributeSet key = superkey;
   bool shrunk = true;
@@ -63,7 +65,7 @@ AttributeSet ReduceToKey(const AttributeSet& superkey,
     for (AttributeId a : key) {
       AttributeSet smaller = key;
       smaller.Remove(a);
-      if (!smaller.Empty() && fds.Implies(smaller, scheme)) {
+      if (!smaller.Empty() && f.Implies(smaller, scheme)) {
         key = smaller;
         shrunk = true;
         break;
@@ -81,6 +83,7 @@ std::vector<AttributeSet> FindCandidateKeys(const AttributeSet& scheme,
   AttributeId attrs[24];
   size_t n = 0;
   scheme.ForEach([&](AttributeId a) { attrs[n++] = a; });
+  ClosureEngine f(fds);
   std::vector<AttributeSet> keys;
   // Enumerate by increasing size; a set is a candidate key iff it determines
   // the scheme and contains no previously found (smaller or equal) key.
@@ -89,7 +92,7 @@ std::vector<AttributeSet> FindCandidateKeys(const AttributeSet& scheme,
       for (const AttributeSet& key : keys) {
         if (key.IsSubsetOf(subset)) return true;  // not minimal
       }
-      if (fds.Implies(subset, scheme)) {
+      if (f.Implies(subset, scheme)) {
         keys.push_back(subset);
       }
       return true;

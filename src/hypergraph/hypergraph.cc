@@ -86,7 +86,7 @@ bool IsConnectedFamily(const std::vector<AttributeSet>& family) {
 }
 
 std::vector<AttributeSet> BachmanClosure(
-    const std::vector<AttributeSet>& edges, size_t max_size) {
+    const std::vector<AttributeSet>& edges) {
   std::vector<AttributeSet> closure;
   std::unordered_set<AttributeSet, AttributeSetHash> seen;
   for (const AttributeSet& e : edges) {
@@ -98,7 +98,7 @@ std::vector<AttributeSet> BachmanClosure(
       AttributeSet inter = closure[i].Intersect(closure[j]);
       if (!inter.Empty() && seen.insert(inter).second) {
         closure.push_back(inter);
-        IRD_CHECK_MSG(closure.size() <= max_size,
+        IRD_CHECK_MSG(closure.size() <= kMaxBachmanSets,
                       "Bachman closure exceeded the size cap");
       }
     }

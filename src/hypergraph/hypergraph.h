@@ -46,10 +46,11 @@ bool IsConnectedFamily(const std::vector<AttributeSet>& family);
 
 // Bachman(E): the closure of the edge family under pairwise intersection,
 // dropping empty sets (paper §2.4). Output order: the original edges first,
-// then derived intersections. Size is capped (IRD_CHECK) at `max_size`
+// then derived intersections. Size is capped (IRD_CHECK) at kMaxBachmanSets
 // because the closure can explode combinatorially.
+inline constexpr size_t kMaxBachmanSets = 4096;
 std::vector<AttributeSet> BachmanClosure(
-    const std::vector<AttributeSet>& edges, size_t max_size = 4096);
+    const std::vector<AttributeSet>& edges);
 
 // A unique minimal connection among X (paper §2.4): a connected subset V of
 // Bachman(R) covering X such that every connected covering subset W of

@@ -227,8 +227,8 @@ class Comparator {
 
     // Engine determinism: a SchemeAnalysis-backed recognition — cold (fresh
     // caches) and warm (every slot, cover and memo already filled) — must
-    // reproduce the wrapper's result bit for bit, and the memoized split
-    // keys must match the per-call computation. The oracle layer itself
+    // reproduce the wrapper's result bit for bit, and the split keys of
+    // the warm analysis must match a fresh one's. The oracle layer itself
     // deliberately never adopts the shared context (see docs/TESTING.md);
     // these checks are the bridge that keeps the memoized engine honest.
     {
@@ -242,7 +242,7 @@ class Comparator {
              "fully cached recognition differs from the cold run on the "
              "same analysis");
       Expect(SplitKeys(analysis) == SplitKeys(scheme_), "engine/split-keys",
-             "memoized split keys disagree with the per-call computation");
+             "split keys of the warm analysis disagree with a fresh one's");
     }
 
     // Classification flags vs the oracle-assembled report.

@@ -20,6 +20,10 @@
 //                    closure, grounded by LSAT/WSAT states both ways
 //   recognition      Algorithm 6 vs set-partition enumeration
 //   classification   ClassifyScheme flags vs oracle-assembled flags
+//   engine           a SchemeAnalysis's recognition, cold and warm, vs the
+//                    scheme-level wrapper; `split-keys` compares the split
+//                    keys of that warm analysis with a fresh one's
+//                    (SplitKeys on a scheme builds a local analysis)
 //   projection       Theorem 4.1 expressions, the optimized chase and
 //                    RepresentativeIndex vs naive [X], compared as
 //                    std::unordered_sets (the oracle dedups through a

@@ -2,9 +2,10 @@
 // repeatedly scan the *raw* dependency list and add a right side whenever
 // its left side is already covered, until a full pass changes nothing.
 //
-// Deliberately shares no code with FdSet::Closure (re-scanning with early
-// normalization) or fd/closure_engine.h (the indexed Beeri–Bernstein
-// engine): the oracle layer pins those against this transliteration.
+// Deliberately shares no code with fd/closure_engine.h, the indexed
+// Beeri–Bernstein engine that is the library's one closure algorithm
+// (FdSet::Closure runs it too): the oracle layer and closure_engine_test
+// pin the engine against this transliteration.
 
 #ifndef IRD_ORACLE_NAIVE_CLOSURE_H_
 #define IRD_ORACLE_NAIVE_CLOSURE_H_

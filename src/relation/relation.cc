@@ -1,7 +1,5 @@
 #include "relation/relation.h"
 
-#include <unordered_map>
-
 #include "obs/obs.h"
 
 namespace ird {
@@ -14,7 +12,7 @@ size_t PartialRelation::FindSlot(const PartialTuple& tuple, uint64_t h,
       probes);
 }
 
-uint32_t PartialRelation::IndexRow(KeyTable& table, uint32_t row) {
+uint32_t PartialRelation::IndexRow(KeyTable& table, uint32_t row) const {
   const PartialTuple& tuple = tuples_[row];
   const uint64_t h = tuple.HashOn(table.key);
   const size_t slot = table.rows.Find(h, [&](uint32_t r) {
@@ -128,18 +126,13 @@ bool PartialRelation::SetEquals(const PartialRelation& other) const {
 bool PartialRelation::Satisfies(const FdSet& fds) const {
   for (const FunctionalDependency& fd : fds.fds()) {
     if (!fd.IsEmbeddedIn(attrs_) || fd.IsTrivial()) continue;
-    AttributeSet rhs = fd.rhs.Minus(fd.lhs);
-    // Map lhs values -> rows; any rhs disagreement is a violation.
-    std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-    for (size_t i = 0; i < tuples_.size(); ++i) {
-      auto& bucket = buckets[tuples_[i].HashOn(fd.lhs)];
-      for (size_t j : bucket) {
-        if (tuples_[j].AgreesOn(tuples_[i], fd.lhs) &&
-            !tuples_[j].AgreesOn(tuples_[i], rhs)) {
-          return false;
-        }
+    // Each row must agree on the right side with the first row holding
+    // its left-side value.
+    KeyTable holders{fd.lhs, {}};
+    for (uint32_t row = 0; row < size(); ++row) {
+      if (!tuples_[IndexRow(holders, row)].AgreesOn(tuples_[row], fd.rhs)) {
+        return false;
       }
-      bucket.push_back(i);
     }
   }
   return true;

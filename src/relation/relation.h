@@ -71,7 +71,8 @@ class PartialRelation {
   bool SetEquals(const PartialRelation& other) const;
 
   // True iff the relation satisfies every FD of `fds` that is embedded in
-  // attrs() (non-embedded FDs are ignored). Hash-based, O(n) per FD.
+  // attrs() (non-embedded FDs are ignored). Checks each FD through a table
+  // of the first row holding each left-side value: O(n) expected per FD.
   bool Satisfies(const FdSet& fds) const;
 
   std::string ToString(const Universe& universe) const;
@@ -89,7 +90,7 @@ class PartialRelation {
                   size_t* probes) const;
   // Enters `row` into `table` unless an earlier row holds its key value;
   // returns the row that holds it afterwards.
-  uint32_t IndexRow(KeyTable& table, uint32_t row);
+  uint32_t IndexRow(KeyTable& table, uint32_t row) const;
   // Appends a row; when `index`, also enters it into the dedup table at
   // `slot` (the free slot FindSlot returned) and into the key tables.
   template <typename T>

@@ -3,7 +3,7 @@
 #include <numeric>
 #include <unordered_set>
 
-#include "fd/key_finder.h"
+#include "fd/closure_engine.h"
 
 namespace ird {
 
@@ -129,7 +129,7 @@ Status DatabaseScheme::Validate() const {
     return InvalidArgument(
         "the union of the relation schemes must equal the universe");
   }
-  const FdSet& f = key_dependencies();
+  ClosureEngine f(fds_);
   for (size_t i = 0; i < relations_.size(); ++i) {
     const RelationScheme& r = relations_[i];
     for (const AttributeSet& key : r.keys) {
@@ -160,11 +160,31 @@ Status DatabaseScheme::Validate() const {
 }
 
 bool DatabaseScheme::IsBcnf() const {
-  auto closure_of = [&](const AttributeSet& x) { return fds_.Closure(x); };
+  ClosureEngine f(fds_);
   for (const RelationScheme& r : relations_) {
-    if (FindBcnfViolation(r, closure_of).has_value()) return false;
+    if (FindBcnfViolation(r, f).has_value()) return false;
   }
   return true;
+}
+
+std::optional<BcnfViolation> FindBcnfViolation(const RelationScheme& r,
+                                               const ClosureEngine& f) {
+  IRD_CHECK_MSG(r.attrs.Count() <= DatabaseScheme::kMaxBcnfAttrs,
+                "BCNF test is exponential; scheme too large");
+  std::vector<AttributeId> attrs = r.attrs.ToVector();
+  const size_t n = attrs.size();
+  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
+    AttributeSet x;
+    for (size_t b = 0; b < n; ++b) {
+      if ((mask >> b) & 1) x.Add(attrs[b]);
+    }
+    AttributeSet closure = f.Closure(x);
+    if (!closure.Intersect(r.attrs).Minus(x).Empty() &&
+        !r.attrs.IsSubsetOf(closure)) {
+      return BcnfViolation{std::move(x), std::move(closure)};
+    }
+  }
+  return std::nullopt;
 }
 
 std::string DatabaseScheme::ToString() const {

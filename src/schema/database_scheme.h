@@ -21,6 +21,8 @@
 
 namespace ird {
 
+class ClosureEngine;
+
 class DatabaseScheme {
  public:
   // Creates an empty scheme over `universe`. The universe may keep growing
@@ -112,7 +114,7 @@ class DatabaseScheme {
   // X -> Y ∈ F+ embedded in some Ri, X is a superkey of Ri. Exponential in
   // max |Ri| (inherent for projected dependencies); IRD_CHECKs that every
   // relation has at most kMaxBcnfAttrs attributes. The scan is
-  // FindBcnfViolation below with F's closure.
+  // FindBcnfViolation below with one engine over F.
   static constexpr size_t kMaxBcnfAttrs = 20;
   bool IsBcnf() const;
 
@@ -134,29 +136,11 @@ struct BcnfViolation {
 
 // The BCNF subset scan of `r`: enumerates the nonempty X ⊆ r.attrs in
 // bitmask order over r.attrs and returns the first violation, or nullopt
-// when r is in BCNF. `closure_of(x)` must return X+ under F; callers choose
-// the closure source (FdSet::Closure in IsBcnf, a ClosureEngine in the
-// linter). Exponential in |r.attrs|, which must be at most kMaxBcnfAttrs.
-template <typename ClosureOf>
+// when r is in BCNF. `f` indexes F: IsBcnf builds one over the scheme's key
+// dependencies, the linter passes its analysis's raw engine. Exponential in
+// |r.attrs|, which must be at most kMaxBcnfAttrs.
 std::optional<BcnfViolation> FindBcnfViolation(const RelationScheme& r,
-                                               const ClosureOf& closure_of) {
-  IRD_CHECK_MSG(r.attrs.Count() <= DatabaseScheme::kMaxBcnfAttrs,
-                "BCNF test is exponential; scheme too large");
-  std::vector<AttributeId> attrs = r.attrs.ToVector();
-  const size_t n = attrs.size();
-  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
-    AttributeSet x;
-    for (size_t b = 0; b < n; ++b) {
-      if ((mask >> b) & 1) x.Add(attrs[b]);
-    }
-    AttributeSet closure = closure_of(x);
-    if (!closure.Intersect(r.attrs).Minus(x).Empty() &&
-        !r.attrs.IsSubsetOf(closure)) {
-      return BcnfViolation{std::move(x), std::move(closure)};
-    }
-  }
-  return std::nullopt;
-}
+                                               const ClosureEngine& f);
 
 }  // namespace ird
 

@@ -5,12 +5,15 @@
 #include <random>
 
 #include "base/universe.h"
+#include "oracle/naive_closure.h"
 #include "workload/generators.h"
 
 namespace ird {
 namespace {
 
-TEST(ClosureEngineTest, MatchesFdSetOnTextbookSets) {
+// The reference is the oracle's textbook fixpoint: FdSet::Closure runs
+// this same engine, so comparing with it would prove nothing.
+TEST(ClosureEngineTest, MatchesNaiveClosureOnTextbookSets) {
   Universe u;
   FdSet f;
   f.Add(u.Chars("A"), u.Chars("B"));
@@ -18,7 +21,8 @@ TEST(ClosureEngineTest, MatchesFdSetOnTextbookSets) {
   f.Add(u.Chars("CD"), u.Chars("E"));
   ClosureEngine engine(f);
   for (const char* x : {"A", "B", "C", "D", "AD", "ABCDE", ""}) {
-    EXPECT_EQ(engine.Closure(u.Chars(x)), f.Closure(u.Chars(x))) << x;
+    EXPECT_EQ(engine.Closure(u.Chars(x)), oracle::NaiveClosure(f, u.Chars(x)))
+        << x;
   }
 }
 
@@ -47,7 +51,7 @@ TEST(ClosureEngineTest, ReusableAcrossQueries) {
   EXPECT_EQ(engine.Closure(u.Chars("A")), u.Chars("AB"));  // counters reset
 }
 
-TEST(ClosureEngineTest, MatchesFdSetOnGeneratedSchemes) {
+TEST(ClosureEngineTest, MatchesNaiveClosureOnGeneratedSchemes) {
   std::mt19937_64 rng(5);
   for (uint64_t seed = 0; seed < 25; ++seed) {
     RandomSchemeOptions opt;
@@ -62,7 +66,7 @@ TEST(ClosureEngineTest, MatchesFdSetOnGeneratedSchemes) {
       for (AttributeId a = 0; a < 8; ++a) {
         if (rng() % 3 == 0) x.Add(a);
       }
-      EXPECT_EQ(engine.Closure(x), f.Closure(x)) << s.ToString();
+      EXPECT_EQ(engine.Closure(x), oracle::NaiveClosure(f, x)) << s.ToString();
     }
   }
 }
