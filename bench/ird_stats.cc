@@ -32,7 +32,11 @@
 //                   speed-calibrated noise-scaled thresholds — and exit 1
 //                   with a per-metric diff table on any regression
 //                   (bench/regression_gate.h, docs/OBSERVABILITY.md)
-//   --runs K        number of full reruns feeding the gate (default 3)
+//   --runs K        number of full runs. With --baseline, the reruns
+//                   feeding the gate (default 3). Without it (default 1),
+//                   every run must agree on each exact field (configs,
+//                   counters, span and histogram counts), and the run
+//                   whose span total is the median is the one written
 //   --list          print workload names and exit
 //
 // Each workload runs inside its own obs::ObsContext, so its record is the
@@ -40,7 +44,8 @@
 // workload that launched it regardless of --jobs.
 //
 // Exit status: 0 = ok, 1 = dead counter (--check), gate failure
-// (--baseline) or write failure, 2 = usage error.
+// (--baseline), runs disagreeing on an exact field (--runs without
+// --baseline) or write failure, 2 = usage error.
 
 #include <algorithm>
 #include <cstdio>
@@ -48,6 +53,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,7 +83,7 @@ struct Args {
   std::string baseline;
   size_t jobs = 1;
   size_t scale = 1;
-  size_t runs = 3;
+  size_t runs = 0;  // 0 = the default: 3 with --baseline, else 1
   bool check = false;
   bool list = false;
 };
@@ -389,6 +395,68 @@ WorkloadRecord RunAnchorWorkload(const std::string& dir, size_t jobs,
       });
 }
 
+// One line per exact field of a run: each workload's config, counter
+// values, span counts and histogram sample counts. These count work, not
+// time, so every run of one tree must produce the same lines.
+std::vector<std::string> ExactFields(const std::vector<WorkloadRecord>& run) {
+  std::vector<std::string> out;
+  for (const WorkloadRecord& r : run) {
+    out.push_back(r.bench + " config " + r.config_json);
+    for (const auto& [name, value] : r.delta.counters) {
+      out.push_back(r.bench + " counter " + name + " " +
+                    std::to_string(value));
+    }
+    for (const obs::SpanRegistry::Stat& span : r.delta.spans) {
+      out.push_back(r.bench + " span " + span.name + " count " +
+                    std::to_string(span.count));
+    }
+    for (const obs::HistogramRegistry::Stat& hist : r.delta.hists) {
+      out.push_back(r.bench + " hist " + hist.name + " count " +
+                    std::to_string(hist.count));
+    }
+  }
+  return out;
+}
+
+uint64_t SpanTotalNs(const std::vector<WorkloadRecord>& run) {
+  uint64_t total = 0;
+  for (const WorkloadRecord& r : run) {
+    for (const obs::SpanRegistry::Stat& span : r.delta.spans) {
+      total += span.total_ns;
+    }
+  }
+  return total;
+}
+
+// The run to record: the one whose span total is the median (the lower
+// middle for an even count). Fails (nullopt) when two runs disagree on an
+// exact field, naming the first field that differs.
+std::optional<size_t> MedianRun(
+    const std::vector<std::vector<WorkloadRecord>>& runs) {
+  const std::vector<std::string> first = ExactFields(runs.front());
+  for (size_t k = 1; k < runs.size(); ++k) {
+    const std::vector<std::string> fields = ExactFields(runs[k]);
+    if (fields == first) continue;
+    auto [a, b] = std::mismatch(first.begin(), first.end(), fields.begin(),
+                                fields.end());
+    std::fprintf(stderr, "ird_stats: run %zu differs from run 1: \"%s\" vs "
+                 "\"%s\"\n", k + 1,
+                 a == first.end() ? "(none)" : a->c_str(),
+                 b == fields.end() ? "(none)" : b->c_str());
+    return std::nullopt;
+  }
+  std::vector<std::pair<uint64_t, size_t>> totals;  // (span total, run)
+  for (size_t k = 0; k < runs.size(); ++k) {
+    totals.emplace_back(SpanTotalNs(runs[k]), k);
+  }
+  std::sort(totals.begin(), totals.end());
+  const auto [total_ns, median] = totals[(runs.size() - 1) / 2];
+  std::fprintf(stderr, "ird_stats: recording run %zu of %zu (span total "
+               "%.1f us)\n", median + 1, runs.size(),
+               static_cast<double>(total_ns) / 1000.0);
+  return median;
+}
+
 std::string RenderRecords(const std::vector<WorkloadRecord>& records) {
   std::string out = "[";
   for (size_t i = 0; i < records.size(); ++i) {
@@ -435,10 +503,11 @@ int Run(const Args& args) {
   obs::ResetAll();
 
   int rc = 0;
-  // The first run produces the trajectory records; the gate (--baseline)
-  // reruns the same workloads for variance.
-  const size_t total_runs = args.baseline.empty() ? 1 : std::max<size_t>(
-                                                            args.runs, 1);
+  // With --baseline, the first run produces the trajectory records and the
+  // gate reads every run for variance; without it, the median run is
+  // recorded.
+  const size_t total_runs =
+      args.runs != 0 ? args.runs : (args.baseline.empty() ? 1 : 3);
   std::vector<std::vector<WorkloadRecord>> all_runs;
   for (size_t k = 0; k < total_runs; ++k) {
     if (total_runs > 1) {
@@ -452,7 +521,13 @@ int Run(const Args& args) {
     }
     all_runs.push_back(std::move(run));
   }
-  const std::vector<WorkloadRecord>& records = all_runs.front();
+  size_t recorded = 0;
+  if (args.baseline.empty() && all_runs.size() > 1) {
+    std::optional<size_t> median = MedianRun(all_runs);
+    if (!median.has_value()) return 1;
+    recorded = *median;
+  }
+  const std::vector<WorkloadRecord>& records = all_runs[recorded];
 
   std::string rendered = RenderRecords(records);
   if (args.out.empty()) {

@@ -32,11 +32,17 @@ ExprPtr Expression::Join(std::vector<ExprPtr> children) {
   if (children.size() == 1) return children[0];
   auto e = std::make_shared<Expression>(Expression());
   e->kind_ = Kind::kJoin;
+  std::vector<AttributeSet> members;
+  members.reserve(children.size());
   for (const ExprPtr& c : children) {
     IRD_CHECK(c != nullptr);
+    members.push_back(c->output_attrs());
     e->output_attrs_.UnionWith(c->output_attrs());
   }
-  e->children_ = std::move(children);
+  e->children_.reserve(children.size());
+  for (size_t i : ConnectedJoinOrder(members)) {
+    e->children_.push_back(std::move(children[i]));
+  }
   return e;
 }
 
@@ -113,6 +119,30 @@ std::string Expression::ToString(const DatabaseScheme& scheme) const {
   return "?";
 }
 
+std::vector<size_t> ConnectedJoinOrder(
+    const std::vector<AttributeSet>& members) {
+  const size_t n = members.size();
+  std::vector<size_t> order;
+  order.reserve(n);
+  std::vector<bool> placed(n, false);
+  AttributeSet joined;
+  while (order.size() < n) {
+    size_t next = n;
+    for (size_t i = 0; i < n; ++i) {
+      if (placed[i]) continue;
+      if (next == n) next = i;  // the first remaining member
+      if (members[i].Intersects(joined)) {
+        next = i;
+        break;
+      }
+    }
+    placed[next] = true;
+    joined.UnionWith(members[next]);
+    order.push_back(next);
+  }
+  return order;
+}
+
 namespace {
 
 constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
@@ -125,6 +155,7 @@ using Relations = std::vector<const PartialRelation*>;
 const PartialRelation& EvaluateNode(const Expression& expr,
                                     const Relations& relations,
                                     PartialRelation* storage) {
+  size_t intermediate_rows = 0;
   switch (expr.kind()) {
     case Expression::Kind::kBase: {
       IRD_CHECK(expr.relation_index() < relations.size());
@@ -159,6 +190,9 @@ const PartialRelation& EvaluateNode(const Expression& expr,
         probe_rows += std::max(acc->size(), child.size());
         *storage = NaturalJoin(*acc, child);
         acc = storage;
+        // Every step but the last materializes an intermediate result; the
+        // last step's rows are the node's own.
+        if (i + 1 < expr.children().size()) intermediate_rows += acc->size();
       }
       IRD_COUNT_ADD(algebra.join.build_rows, build_rows);
       IRD_COUNT_ADD(algebra.join.probe_rows, probe_rows);
@@ -194,7 +228,8 @@ const PartialRelation& EvaluateNode(const Expression& expr,
       break;
     }
   }
-  IRD_COUNT_ADD(algebra.rows_materialized, storage->size());
+  IRD_COUNT_ADD(algebra.rows_materialized,
+                intermediate_rows + storage->size());
   return *storage;
 }
 

@@ -4,7 +4,8 @@
 // joins and sequential joins, §2.6; single-tuple conjunctive selections,
 // §2.7; unions of projections of joins of lossless subsets, §3.1).
 //
-// Expressions are immutable trees shared via shared_ptr; evaluation is
+// Expressions are immutable trees shared via shared_ptr; a join fixes its
+// members' order when it is built (ConnectedJoinOrder), and evaluation is
 // hash-join based and reads base relations in place.
 
 #ifndef IRD_ALGEBRA_EXPRESSION_H_
@@ -34,12 +35,14 @@ class Expression {
   enum class Kind {
     kBase,     // a relation of the state
     kProject,  // π_X(child)
-    kJoin,     // child_1 ⋈ ... ⋈ child_k (natural join, left-to-right)
+    kJoin,     // child_1 ⋈ ... ⋈ child_k (natural join, left-to-right in
+               // connected order, fixed at construction)
     kSelect,   // σ_Φ(child), Φ a conjunctive formula
     kUnion,    // child_1 ∪ ... ∪ child_k (same output attributes)
   };
 
-  // Factories. All children must be non-null.
+  // Factories. All children must be non-null. Join stores its children in
+  // ConnectedJoinOrder of their output attributes.
   static ExprPtr Base(size_t relation_index, AttributeSet relation_attrs);
   static ExprPtr Project(AttributeSet attrs, ExprPtr child);
   static ExprPtr Join(std::vector<ExprPtr> children);
@@ -69,6 +72,14 @@ class Expression {
   std::vector<ExprPtr> children_;
   std::vector<EqualityAtom> formula_;
 };
+
+// The connected order of a join's members, given their attribute sets:
+// member 0 first, then repeatedly the first remaining member, in the given
+// order, that shares an attribute with those already placed, or the first
+// remaining member when none does. An order that is already connected is
+// returned unchanged. Returns the member indices in join order.
+std::vector<size_t> ConnectedJoinOrder(
+    const std::vector<AttributeSet>& members);
 
 // Evaluates `expr` against base relations read in place: relation i of
 // the plan is *relations[i], which must be non-null for every relation the

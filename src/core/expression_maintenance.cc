@@ -8,6 +8,35 @@
 
 namespace ird {
 
+namespace {
+
+// `subset` in the order its selection joins it: the relation that sees the
+// most key attributes first (the most-selected one), then ConnectedJoinOrder.
+// A lossless subset is connected, so no step is a cross product.
+std::vector<size_t> JoinOrder(const DatabaseScheme& scheme,
+                              const std::vector<size_t>& subset,
+                              const AttributeSet& key) {
+  size_t start = 0;
+  size_t best_bound = 0;
+  for (size_t i = 0; i < subset.size(); ++i) {
+    size_t bound = scheme.relation(subset[i]).attrs.Intersect(key).Count();
+    if (bound > best_bound) {
+      best_bound = bound;
+      start = i;
+    }
+  }
+  std::vector<size_t> members = subset;
+  std::rotate(members.begin(), members.begin() + start,
+              members.begin() + start + 1);
+  std::vector<AttributeSet> attrs;
+  for (size_t rel : members) attrs.push_back(scheme.relation(rel).attrs);
+  std::vector<size_t> ordered;
+  for (size_t i : ConnectedJoinOrder(attrs)) ordered.push_back(members[i]);
+  return ordered;
+}
+
+}  // namespace
+
 ExpressionLookupPlan ExpressionLookupPlan::Build(const DatabaseScheme& scheme,
                                                  std::vector<size_t> pool) {
   pool = scheme.PoolOrAll(pool);
@@ -28,6 +57,9 @@ ExpressionLookupPlan ExpressionLookupPlan::Build(const DatabaseScheme& scheme,
                 return scheme.UnionAttrs(a).Count() >
                        scheme.UnionAttrs(b).Count();
               });
+    for (std::vector<size_t>& subset : subsets) {
+      subset = JoinOrder(scheme, subset, key);
+    }
     plan.subsets_.push_back(std::move(subsets));
   }
   return plan;
@@ -35,70 +67,23 @@ ExpressionLookupPlan ExpressionLookupPlan::Build(const DatabaseScheme& scheme,
 
 namespace {
 
-// σ_{K='k'}(⋈ subset) with the selection pushed onto every base relation
-// and a greedy connected join order (most-selected relation first), so the
-// join never materializes an unselected cross product needlessly.
+// σ_{K='k'}(⋈ subset) with the selection pushed onto every base relation,
+// joined in the order Build stored the subset in.
 Result<std::optional<PartialTuple>> EvaluateSingleTupleSelection(
     const DatabaseState& state, const std::vector<size_t>& subset,
     const AttributeSet& key, const PartialTuple& key_values) {
-  const DatabaseScheme& scheme = state.scheme();
-  // Filter each base by the key attributes it sees.
-  std::vector<PartialRelation> filtered;
-  filtered.reserve(subset.size());
-  for (size_t rel : subset) {
-    const AttributeSet& attrs = scheme.relation(rel).attrs;
+  PartialRelation acc;
+  for (size_t step = 0; step < subset.size(); ++step) {
+    // Filter the base by the key attributes it sees.
+    const AttributeSet& attrs = state.scheme().relation(subset[step]).attrs;
     AttributeSet bound = attrs.Intersect(key);
-    PartialRelation out(attrs);
-    for (const PartialTuple& t : state.relation(rel).tuples()) {
+    PartialRelation filtered(attrs);
+    for (const PartialTuple& t : state.relation(subset[step]).tuples()) {
       if (bound.Empty() || t.AgreesOn(key_values, bound)) {
-        out.Add(t);
+        filtered.Add(t);
       }
     }
-    filtered.push_back(std::move(out));
-  }
-  // Greedy connected order: start with the most-constrained relation.
-  std::vector<size_t> order;
-  std::vector<bool> used(subset.size(), false);
-  size_t start = 0;
-  size_t best_bound = 0;
-  for (size_t i = 0; i < subset.size(); ++i) {
-    size_t bound =
-        scheme.relation(subset[i]).attrs.Intersect(key).Count();
-    if (bound > best_bound) {
-      best_bound = bound;
-      start = i;
-    }
-  }
-  order.push_back(start);
-  used[start] = true;
-  AttributeSet prefix = scheme.relation(subset[start]).attrs;
-  while (order.size() < subset.size()) {
-    bool advanced = false;
-    for (size_t i = 0; i < subset.size(); ++i) {
-      if (used[i]) continue;
-      if (scheme.relation(subset[i]).attrs.Intersects(prefix)) {
-        order.push_back(i);
-        used[i] = true;
-        prefix.UnionWith(scheme.relation(subset[i]).attrs);
-        advanced = true;
-        break;
-      }
-    }
-    if (!advanced) {
-      // Disconnected remainder (possible when the chase-losslessness runs
-      // through outside attributes): append arbitrarily.
-      for (size_t i = 0; i < subset.size(); ++i) {
-        if (!used[i]) {
-          order.push_back(i);
-          used[i] = true;
-          prefix.UnionWith(scheme.relation(subset[i]).attrs);
-        }
-      }
-    }
-  }
-  PartialRelation acc = filtered[order[0]];
-  for (size_t step = 1; step < order.size(); ++step) {
-    acc = NaturalJoin(acc, filtered[order[step]]);
+    acc = step == 0 ? std::move(filtered) : NaturalJoin(acc, filtered);
     if (acc.empty()) return std::optional<PartialTuple>(std::nullopt);
   }
   // Single-tuple check (σ over a lossless expression on a consistent state

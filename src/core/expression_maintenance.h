@@ -50,7 +50,9 @@ class ExpressionLookupPlan {
   std::vector<size_t> pool_;
   std::vector<AttributeSet> keys_;
   // Per key: lossless subsets covering it, sorted by decreasing attribute
-  // union (so the first nonempty evaluation is the greatest).
+  // union (so the first nonempty evaluation is the greatest). Each subset
+  // is stored in join order: the relation seeing the most key attributes
+  // first, then ConnectedJoinOrder.
   std::vector<std::vector<std::vector<size_t>>> subsets_;
 };
 

@@ -4,7 +4,6 @@
 
 #include "oracle/naive_chase.h"
 #include "oracle/naive_closure.h"
-#include "relation/weak_instance.h"
 
 namespace ird::oracle {
 
@@ -31,6 +30,19 @@ std::optional<DatabaseState> SearchLsatWsatGap(const DatabaseScheme& scheme,
                                                size_t trials,
                                                size_t max_tuples,
                                                size_t domain, uint64_t seed) {
+  // Local satisfaction (paper §2.7) against F+ projected onto each
+  // relation once: the projections depend only on the scheme.
+  std::vector<FdSet> local;
+  local.reserve(scheme.size());
+  for (const RelationScheme& r : scheme.relations()) {
+    local.push_back(scheme.key_dependencies().ProjectOnto(r.attrs));
+  }
+  auto locally_consistent = [&](const DatabaseState& state) {
+    for (size_t rel = 0; rel < scheme.size(); ++rel) {
+      if (!state.relation(rel).Satisfies(local[rel])) return false;
+    }
+    return true;
+  };
   std::mt19937_64 rng(seed);
   for (size_t trial = 0; trial < trials; ++trial) {
     DatabaseState state(scheme);
@@ -50,7 +62,7 @@ std::optional<DatabaseState> SearchLsatWsatGap(const DatabaseScheme& scheme,
             PartialTuple(attrs, std::move(values)));
       }
     }
-    if (IsLocallyConsistent(state) && !IsConsistentNaive(state)) {
+    if (locally_consistent(state) && !IsConsistentNaive(state)) {
       return state;
     }
   }

@@ -1,12 +1,16 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "algebra/expression.h"
-#include "algebra/extension_join.h"
+#include "oracle/naive_extension_join.h"
 #include "tests/test_util.h"
 
 namespace ird {
 namespace {
 
+using oracle::AdmitsExtensionJoinTree;
+using oracle::IsExtensionJoinSequence;
 using test::Attrs;
 
 class AlgebraTest : public ::testing::Test {
@@ -108,6 +112,48 @@ TEST_F(AlgebraTest, ToStringIsReadable) {
   EXPECT_EQ(e->ToString(scheme_), "π[A]((R1 ⋈ R2))");
 }
 
+// A join fixes its members' order when it is built: each member after the
+// first shares an attribute with those before it, so AE ⋈ BD ⋈ DA, whose
+// first two members share nothing, is stored as AE ⋈ DA ⋈ BD.
+TEST(JoinOrderTest, JoinStoresMembersInConnectedOrder) {
+  DatabaseScheme s = DatabaseScheme::Create();
+  s.AddRelation("RAE", "AE", {"A"});
+  s.AddRelation("RBD", "BD", {"D"});
+  s.AddRelation("RDA", "DA", {"D"});
+  ExprPtr join = Expression::Join({Expression::Base(0, s.relation(0).attrs),
+                                   Expression::Base(1, s.relation(1).attrs),
+                                   Expression::Base(2, s.relation(2).attrs)});
+  ASSERT_EQ(join->children().size(), 3u);
+  EXPECT_EQ(join->children()[0]->relation_index(), 0u);
+  EXPECT_EQ(join->children()[1]->relation_index(), 2u);
+  EXPECT_EQ(join->children()[2]->relation_index(), 1u);
+  EXPECT_EQ(join->ToString(s), "(RAE ⋈ RDA ⋈ RBD)");
+  EXPECT_EQ(join->output_attrs(), Attrs(s, "ABDE"));
+}
+
+TEST_F(AlgebraTest, ConnectedJoinKeepsItsOrder) {
+  EXPECT_EQ(Expression::Join({Base(0), Base(1), Base(2), Base(3)})
+                ->ToString(scheme_),
+            "(R1 ⋈ R2 ⋈ R3 ⋈ R4)");
+  EXPECT_EQ(Expression::Join({Base(2), Base(1), Base(3), Base(0)})
+                ->ToString(scheme_),
+            "(R3 ⋈ R2 ⋈ R4 ⋈ R1)");
+}
+
+// With no member sharing an attribute with those placed, the first
+// remaining member comes next: disjoint members keep their given order.
+TEST_F(AlgebraTest, DisjointMembersKeepTheirOrder) {
+  EXPECT_EQ(Expression::Join({Base(0), Base(2)})->ToString(scheme_),
+            "(R1 ⋈ R3)");
+  EXPECT_EQ(Expression::Join({Base(2), Base(0)})->ToString(scheme_),
+            "(R3 ⋈ R1)");
+  // BE joins AB through B; CD shares nothing with either, so it comes
+  // last, as the first (and only) remaining member.
+  EXPECT_EQ(ConnectedJoinOrder({Attrs(scheme_, "AB"), Attrs(scheme_, "CD"),
+                                Attrs(scheme_, "BE")}),
+            (std::vector<size_t>{0, 2, 1}));
+}
+
 TEST(NaturalJoinTest, DisjointSchemesGiveProduct) {
   PartialRelation left(AttributeSet{0});
   left.Add({1});
@@ -146,18 +192,6 @@ TEST(ExtensionJoinTest, OneWayKeysRestrictDirection) {
   const FdSet& f = s.key_dependencies();
   EXPECT_TRUE(IsExtensionJoinSequence(s, {0, 1}, f));
   EXPECT_FALSE(IsExtensionJoinSequence(s, {1, 0}, f));
-  auto order = FindExtensionJoinOrder(s, {1, 0}, f);
-  ASSERT_TRUE(order.has_value());
-  EXPECT_EQ(*order, (std::vector<size_t>{0, 1}));
-}
-
-TEST(ExtensionJoinTest, NoOrderExists) {
-  // Two relations sharing a non-determining attribute.
-  DatabaseScheme s = DatabaseScheme::Create();
-  s.AddRelation("R1", "AB", {"AB"});
-  s.AddRelation("R2", "BC", {"BC"});
-  EXPECT_FALSE(
-      FindExtensionJoinOrder(s, {0, 1}, s.key_dependencies()).has_value());
 }
 
 TEST(ExtensionJoinTest, Example4ExpressionIsBushyExtensionJoin) {
@@ -167,7 +201,10 @@ TEST(ExtensionJoinTest, Example4ExpressionIsBushyExtensionJoin) {
   // (AB ⋈ AC) on ABC, (BE ⋈ CE) on BCE, then BC -> E closes the join.
   DatabaseScheme s = test::Example4();
   const FdSet& f = s.key_dependencies();
-  EXPECT_FALSE(FindExtensionJoinOrder(s, {0, 1, 3, 4}, f).has_value());
+  std::vector<size_t> order = {0, 1, 3, 4};
+  do {
+    EXPECT_FALSE(IsExtensionJoinSequence(s, order, f));
+  } while (std::next_permutation(order.begin(), order.end()));
   EXPECT_TRUE(AdmitsExtensionJoinTree(s, {0, 1, 3, 4}, f));
 }
 
@@ -181,13 +218,6 @@ TEST(ExtensionJoinTest, TreeRejectsUndeterminedCombination) {
 TEST(ExtensionJoinTest, TreeAcceptsSingleRelation) {
   DatabaseScheme s = test::Example9();
   EXPECT_TRUE(AdmitsExtensionJoinTree(s, {2}, s.key_dependencies()));
-}
-
-TEST(ExtensionJoinTest, SequentialJoinExprShape) {
-  DatabaseScheme s = test::Example9();
-  ExprPtr e = SequentialJoinExpr(s, {0, 1, 2});
-  EXPECT_EQ(e->kind(), Expression::Kind::kJoin);
-  EXPECT_EQ(e->output_attrs(), Attrs(s, "ABCD"));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "core/key_equivalent_maintainer.h"
 #include "core/recognition.h"
 #include "core/sharded_maintainer.h"
+#include "core/total_projection.h"
 #include "engine/scheme_analysis.h"
 #include "obs/export.h"
 #include "tableau/chase.h"
@@ -274,6 +275,56 @@ TEST(ObsInvariantsTest, EvaluateMaterializesOnlyNonBaseNodes) {
   EXPECT_EQ(DeltaOf(delta, "algebra.join.build_rows"), 3u);
   EXPECT_EQ(DeltaOf(delta, "algebra.join.probe_rows"), 5u);
   EXPECT_EQ(DeltaOf(delta, "algebra.rows_materialized"), 6u);
+}
+
+// A k-member join materializes k-1 results; the last is the node's own
+// output, and the ones before it count too. R1 ⋈ R2 ⋈ R3 on a chain
+// builds R1 ⋈ R2 (3 rows), then the answer (2 rows).
+TEST(ObsInvariantsTest, EvaluateCountsIntermediateJoinRows) {
+  IRD_REQUIRE_OBS();
+  DatabaseScheme scheme = test::Example9();
+  DatabaseState state(scheme);
+  for (Value i = 0; i < 3; ++i) state.Insert("R1", {i, i});
+  for (Value i = 0; i < 3; ++i) state.Insert("R2", {i, 10 + i});
+  for (Value i = 0; i < 2; ++i) state.Insert("R3", {10 + i, 20 + i});
+  ExprPtr plan =
+      Expression::Join({Expression::Base(0, scheme.relation(0).attrs),
+                        Expression::Base(1, scheme.relation(1).attrs),
+                        Expression::Base(2, scheme.relation(2).attrs)});
+  PartialRelation answer;
+  obs::Snapshot delta = Measure([&] { answer = Evaluate(*plan, state); });
+  EXPECT_EQ(answer.size(), 2u);
+  EXPECT_EQ(DeltaOf(delta, "algebra.rows_materialized"), 5u);
+}
+
+// A join node counts the rows of every intermediate step as well as its
+// output. [E,B1] on the split scheme takes the branch RAE ⋈ RDA ⋈ RBD,
+// each step keyed on an attribute the joined members share, so the rows
+// its evaluation materializes stay within twice the state's tuples and
+// grow with the state. Joined in relation-index order, RAE met RBD first:
+// their cross product alone was 76,140 rows at 400 entities.
+TEST(ObsInvariantsTest, SplitSchemeQueryRowsTrackTheState) {
+  IRD_REQUIRE_OBS();
+  DatabaseScheme scheme = MakeSplitScheme(2);
+  RecognitionResult recognition = RecognizeIndependenceReducible(scheme);
+  ASSERT_TRUE(recognition.accepted);
+  const AttributeSet x = {*scheme.universe().Find("E"),
+                          *scheme.universe().Find("B1")};
+  ExprPtr plan = BuildBoundedProjectionExpr(scheme, recognition, x);
+  ASSERT_NE(plan, nullptr);
+  std::vector<uint64_t> rows;
+  for (size_t entities : {200u, 400u}) {
+    StateGenOptions opt;
+    opt.entities = entities;
+    opt.seed = 61;
+    DatabaseState state = MakeConsistentState(scheme, opt);
+    obs::Snapshot delta = Measure([&] { (void)Evaluate(*plan, state); });
+    rows.push_back(DeltaOf(delta, "algebra.rows_materialized"));
+    EXPECT_GT(rows.back(), 0u) << "entities=" << entities;
+    EXPECT_LE(rows.back(), 2 * state.TupleCount())
+        << "entities=" << entities;
+  }
+  EXPECT_LT(rows[1], 3 * rows[0]) << rows[0] << " -> " << rows[1];
 }
 
 // Algorithm 2's rejection cost is bounded by the distinct pool keys (the

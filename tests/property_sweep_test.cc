@@ -8,7 +8,8 @@
 //   P2  maintenance agreement: the sharded maintainer (Algorithm 5 or 2
 //       per block) and, on key-equivalent schemes, Algorithm 2 over the
 //       whole scheme == the chase, on insert streams.
-//   P3  query agreement: Theorem 4.1 expressions == [X] by chase.
+//   P3  query agreement: Theorem 4.1 expressions == [X] by chase, and no
+//       join of an expression takes a cartesian step.
 //   P4  representative index == chase representative instance.
 //   P5  split analysis: Lemma 3.8 == the definitional search.
 
@@ -198,6 +199,12 @@ TEST_P(PropertySweep, P3_BoundedProjectionsAgreeWithChase) {
       if (rng() % 3 == 0) x.Add(a);
     }
     if (x.Empty()) x.Add(all[rng() % all.size()]);
+    // The plan TotalProjection evaluates joins each member on an attribute
+    // shared with the members before it.
+    ExprPtr plan = BuildBoundedProjectionExpr(scheme_, recognition, x);
+    if (plan != nullptr) {
+      EXPECT_EQ(test::CartesianSteps(*plan), 0u) << plan->ToString(scheme_);
+    }
     PartialRelation bounded = TotalProjection(state, recognition, x);
     Result<PartialRelation> chase = TotalProjectionByChase(state, x);
     ASSERT_TRUE(chase.ok());

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <vector>
 
+#include "algebra/expression.h"
 #include "relation/database_state.h"
 #include "schema/database_scheme.h"
 
@@ -197,6 +198,21 @@ inline PartialTuple Tuple(const DatabaseScheme& scheme,
     ordered.push_back(v);
   }
   return PartialTuple(attrs, std::move(ordered));
+}
+
+// The join steps of `expr` that take a cartesian product: a join member,
+// after the first, sharing no attribute with the members before it.
+inline size_t CartesianSteps(const Expression& expr) {
+  size_t steps = 0;
+  AttributeSet joined;
+  for (size_t i = 0; i < expr.children().size(); ++i) {
+    const Expression& child = *expr.children()[i];
+    steps += CartesianSteps(child);
+    if (expr.kind() != Expression::Kind::kJoin) continue;
+    if (i > 0 && !child.output_attrs().Intersects(joined)) ++steps;
+    joined.UnionWith(child.output_attrs());
+  }
+  return steps;
 }
 
 }  // namespace ird::test

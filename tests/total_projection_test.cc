@@ -201,6 +201,28 @@ TEST(TotalProjectionTest, MatchesChaseOnGeneratedStatesAndTargets) {
   }
 }
 
+// A lossless subset is connected: its chase cannot equate symbols across
+// parts that share no attribute. So every join of a plan can take its
+// members in an order where each shares an attribute with those before it,
+// and Expression::Join stores them so. In relation-index order, the branch
+// RAE ⋈ RBD ⋈ RDA of each [E,B_i] joined RAE with RBD, which share nothing.
+TEST(TotalProjectionTest, TwoAttributePlansTakeNoCartesianStep) {
+  for (size_t k : {2u, 3u}) {
+    DatabaseScheme s = MakeSplitScheme(k);
+    RecognitionResult r = RecognizeIndependenceReducible(s);
+    ASSERT_TRUE(r.accepted);
+    std::vector<AttributeId> all = s.AllAttrs().ToVector();
+    for (size_t i = 0; i < all.size(); ++i) {
+      for (size_t j = i + 1; j < all.size(); ++j) {
+        ExprPtr plan = BuildBoundedProjectionExpr(s, r, {all[i], all[j]});
+        ASSERT_NE(plan, nullptr);
+        EXPECT_EQ(test::CartesianSteps(*plan), 0u)
+            << "k=" << k << ": " << plan->ToString(s);
+      }
+    }
+  }
+}
+
 TEST(TotalProjectionTest, ExpressionSizeIsStateIndependent) {
   // Boundedness: the expression depends only on R and F.
   DatabaseScheme s = test::Example11();
